@@ -2,9 +2,10 @@
 //!
 //! Both strategies produce a leaderboard of [`TrainedCandidate`]s scored by
 //! balanced accuracy on a held-out validation split. Candidate training is
-//! embarrassingly parallel and runs on `std::thread::scope` threads when
-//! `parallelism > 1`; results are reassembled in sampling order so the
-//! outcome is identical to a sequential run.
+//! embarrassingly parallel and runs on the shared work queue
+//! ([`aml_telemetry::fan_out`]) when `parallelism > 1`; results are
+//! reassembled in sampling order so the outcome is identical to a
+//! sequential run.
 
 use crate::space::{CandidateConfig, ModelFamily};
 use crate::{AutoMlError, Result, SearchError};
@@ -277,26 +278,16 @@ fn fit_and_score(config: &CandidateConfig, train: &Dataset, val: &Dataset) -> Op
     Some((model, val_score, val_proba))
 }
 
-/// [`train_one`] under an `automl.trial` span attached to the search's
-/// [`aml_telemetry::TraceContext`], slotted by trial id — so the causal
-/// trace tree is identical whatever the worker count.
-fn traced_train_one(
-    ctx: aml_telemetry::TraceContext,
-    trial: u64,
-    rung: u64,
-    config: CandidateConfig,
-    train: &Dataset,
-    val: &Dataset,
-) -> Option<TrainedCandidate> {
-    let _handoff = ctx.attach(trial);
-    let _span = aml_telemetry::span!("automl.trial");
-    train_one(trial, rung, config, train, val)
-}
-
 /// Train `(trial, config)` jobs (in order) with up to `parallelism` worker
 /// threads at halving rung `rung`. Output preserves input order; failed
-/// candidates are dropped. A chunk worker dying *outside* the per-trial
-/// sandbox is a harness bug and surfaces as
+/// candidates are dropped. Each trial runs under an `automl.trial` span
+/// attached to the search's [`aml_telemetry::TraceContext`], slotted by
+/// trial id, so the causal trace tree is identical whatever the worker
+/// count. With a `budget` every trial gets its own abandonable worker
+/// thread (see [`train_one_budgeted`]), and the datasets are promoted to
+/// `Arc` clones once per call so abandoned workers cannot outlive borrowed
+/// data; without one the path stays copy-free. A worker dying *outside*
+/// the per-trial sandbox is a harness bug and surfaces as
 /// [`SearchError::WorkerPanicked`] instead of aborting the process.
 fn train_all(
     jobs: Vec<(u64, CandidateConfig)>,
@@ -311,130 +302,21 @@ fn train_all(
     // rung's `automl.trial` handoffs a distinct trace-tree parent (trial
     // ids repeat across rungs, attach slots must not).
     let _rung_span = aml_telemetry::span!("automl.rung");
-    if let Some(budget) = budget {
-        return train_all_budgeted(jobs, rung, train, val, parallelism, budget);
-    }
+    let shared = budget.map(|b| (Arc::new(train.clone()), Arc::new(val.clone()), b));
     let ctx = aml_telemetry::TraceContext::current();
-    if parallelism <= 1 || jobs.len() <= 1 {
-        return Ok(jobs
-            .into_iter()
-            .filter_map(|(t, c)| traced_train_one(ctx, t, rung, c, train, val))
-            .collect());
-    }
-    let n = jobs.len();
-    let mut slots: Vec<Option<TrainedCandidate>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let jobs: Vec<(usize, u64, CandidateConfig)> = jobs
-        .into_iter()
-        .enumerate()
-        .map(|(i, (t, c))| (i, t, c))
-        .collect();
-    let chunk = n.div_ceil(parallelism);
-
-    let mut harness_panic: Option<String> = None;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for piece in jobs.chunks(chunk) {
-            let piece: Vec<(usize, u64, CandidateConfig)> = piece.to_vec();
-            handles.push(scope.spawn(move || {
-                piece
-                    .into_iter()
-                    .map(|(i, t, c)| (i, traced_train_one(ctx, t, rung, c, train, val)))
-                    .collect::<Vec<_>>()
-            }));
-        }
-        for h in handles {
-            match h.join() {
-                Ok(results) => {
-                    for (i, result) in results {
-                        slots[i] = result;
-                    }
-                }
-                Err(payload) => {
-                    harness_panic.get_or_insert_with(|| panic_message(&payload));
-                }
+    let trained = aml_telemetry::fan_out(&jobs, parallelism, |_, (trial, config)| {
+        let _handoff = ctx.attach(*trial);
+        let _span = aml_telemetry::span!("automl.trial");
+        let config = config.clone();
+        match &shared {
+            Some((train, val, budget)) => {
+                train_one_budgeted(*trial, rung, config, train, val, *budget)
             }
+            None => train_one(*trial, rung, config, train, val),
         }
-    });
-    if let Some(message) = harness_panic {
-        return Err(SearchError::WorkerPanicked(message).into());
-    }
-
-    Ok(slots.into_iter().flatten().collect())
-}
-
-/// Budgeted variant of [`train_all`]: every trial gets its own
-/// abandonable worker thread (see [`train_one_budgeted`]), and the
-/// datasets are promoted to `Arc` clones once per call so abandoned
-/// workers cannot outlive borrowed data. Only engaged when
-/// `--max-trial-time` is set — the unbudgeted path stays copy- and
-/// thread-free.
-fn train_all_budgeted(
-    jobs: Vec<(u64, CandidateConfig)>,
-    rung: u64,
-    train: &Dataset,
-    val: &Dataset,
-    parallelism: usize,
-    budget: Duration,
-) -> Result<Vec<TrainedCandidate>> {
-    let train = Arc::new(train.clone());
-    let val = Arc::new(val.clone());
-    let ctx = aml_telemetry::TraceContext::current();
-    if parallelism <= 1 || jobs.len() <= 1 {
-        return Ok(jobs
-            .into_iter()
-            .filter_map(|(t, c)| {
-                let _handoff = ctx.attach(t);
-                let _span = aml_telemetry::span!("automl.trial");
-                train_one_budgeted(t, rung, c, &train, &val, budget)
-            })
-            .collect());
-    }
-    let n = jobs.len();
-    let mut slots: Vec<Option<TrainedCandidate>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let jobs: Vec<(usize, u64, CandidateConfig)> = jobs
-        .into_iter()
-        .enumerate()
-        .map(|(i, (t, c))| (i, t, c))
-        .collect();
-    let chunk = n.div_ceil(parallelism);
-
-    let mut harness_panic: Option<String> = None;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for piece in jobs.chunks(chunk) {
-            let piece: Vec<(usize, u64, CandidateConfig)> = piece.to_vec();
-            let (train, val) = (Arc::clone(&train), Arc::clone(&val));
-            handles.push(scope.spawn(move || {
-                piece
-                    .into_iter()
-                    .map(|(i, t, c)| {
-                        let _handoff = ctx.attach(t);
-                        let _span = aml_telemetry::span!("automl.trial");
-                        (i, train_one_budgeted(t, rung, c, &train, &val, budget))
-                    })
-                    .collect::<Vec<_>>()
-            }));
-        }
-        for h in handles {
-            match h.join() {
-                Ok(results) => {
-                    for (i, result) in results {
-                        slots[i] = result;
-                    }
-                }
-                Err(payload) => {
-                    harness_panic.get_or_insert_with(|| panic_message(&payload));
-                }
-            }
-        }
-    });
-    if let Some(message) = harness_panic {
-        return Err(SearchError::WorkerPanicked(message).into());
-    }
-
-    Ok(slots.into_iter().flatten().collect())
+    })
+    .map_err(|payload| SearchError::WorkerPanicked(panic_message(&payload)))?;
+    Ok(trained.into_iter().flatten().collect())
 }
 
 /// Best-effort human-readable message from a panic payload.
@@ -619,6 +501,7 @@ mod tests {
 
     #[test]
     fn random_search_returns_sorted_leaderboard() {
+        let _guard = hold_faults();
         let (train, val) = splits();
         let out = run_search(
             SearchStrategy::Random,
@@ -644,6 +527,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
+        let _guard = hold_faults();
         let (train, val) = splits();
         let seq = run_search(
             SearchStrategy::Random,
@@ -676,6 +560,7 @@ mod tests {
 
     #[test]
     fn halving_prunes_candidates() {
+        let _guard = hold_faults();
         let (train, val) = splits();
         let out = run_search(
             SearchStrategy::SuccessiveHalving,
@@ -718,6 +603,7 @@ mod tests {
 
     #[test]
     fn restricted_family_list_respected() {
+        let _guard = hold_faults();
         let (train, val) = splits();
         let out = run_search(
             SearchStrategy::Random,
@@ -733,8 +619,9 @@ mod tests {
         assert!(out.iter().all(|c| c.config.family() == ModelFamily::Knn));
     }
 
-    /// Fault-plan installs mutate process-global state; serialize the
-    /// sandbox tests through one lock.
+    /// Fault-plan installs mutate process-global state; every test that
+    /// trains candidates goes through one lock, so none of them sees
+    /// another test's plan.
     static FAULT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn hold_faults() -> std::sync::MutexGuard<'static, ()> {
@@ -834,6 +721,7 @@ mod tests {
 
     #[test]
     fn budgeted_path_matches_unbudgeted_results() {
+        let _guard = hold_faults();
         let (train, val) = splits();
         let plain = run_search(
             SearchStrategy::Random,

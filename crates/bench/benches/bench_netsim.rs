@@ -4,7 +4,7 @@
 
 use aml_microbench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use aml_netsim::cc::CcKind;
-use aml_netsim::runner::label_condition;
+use aml_netsim::runner::{label_condition, run_all};
 use aml_netsim::sim::{SimConfig, Simulation};
 use aml_netsim::NetworkCondition;
 
@@ -33,15 +33,29 @@ fn bench_single_protocol_run(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_labeling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("label_condition_all6");
-    group.sample_size(10);
-    let scenarios = [
+fn label_scenarios() -> [(&'static str, NetworkCondition); 3] {
+    [
         ("slow_3mbps", cond(3.0, 40.0, 0.01, 1)),
         ("mid_20mbps", cond(20.0, 60.0, 0.0, 2)),
         ("fast_100mbps", cond(100.0, 30.0, 0.0, 1)),
-    ];
-    for (name, condition) in scenarios {
+    ]
+}
+
+/// Racing all six protocols, against the early-exit label on the same
+/// scenarios: the difference per scenario is what the early exit saves.
+fn bench_labeling(c: &mut Criterion) {
+    let mut group = c.benchmark_group("run_all_6");
+    group.sample_size(10);
+    for (name, condition) in label_scenarios() {
+        group.bench_with_input(BenchmarkId::from_parameter(name), &condition, |b, &cnd| {
+            b.iter(|| run_all(cnd, 7).expect("run_all"))
+        });
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("label_condition_early_exit");
+    group.sample_size(10);
+    for (name, condition) in label_scenarios() {
         group.bench_with_input(BenchmarkId::from_parameter(name), &condition, |b, &cnd| {
             b.iter(|| label_condition(cnd, 7).expect("label"))
         });

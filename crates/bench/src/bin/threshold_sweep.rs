@@ -9,11 +9,11 @@
 
 use aml_automl::{AutoMl, AutoMlConfig};
 use aml_bench::minijson::{ToJson, Value};
-use aml_bench::{cached_dataset, mean, write_json, RunOpts};
+use aml_bench::{cached_netsim, mean, write_json, RunOpts};
 use aml_core::{run_strategy, AleFeedback, ExperimentConfig, Strategy, ThresholdRule};
 use aml_dataset::split::split_into_k;
 use aml_dataset::Dataset;
-use aml_netsim::datagen::{generate_dataset, label_rows};
+use aml_netsim::datagen::{label_rows, DatasetSpec, SamplingMode};
 use aml_netsim::ConditionDomain;
 use aml_telemetry::report;
 
@@ -50,15 +50,23 @@ fn main() {
 
     let datagen_span = aml_telemetry::span!("bench.datagen");
     aml_telemetry::serve::set_phase("datagen");
-    let train = cached_dataset(
+    let uniform = |n, seed| DatasetSpec {
+        domain,
+        mode: SamplingMode::Uniform,
+        n,
+        seed,
+    };
+    let train = cached_netsim(
         &opts.out_dir,
-        &format!("scream_train_n{n_train}_s{}", opts.seed),
-        || generate_dataset(&domain, n_train, opts.seed, threads).expect("datagen"),
+        "scream_train",
+        uniform(n_train, opts.seed),
+        threads,
     );
-    let test = cached_dataset(
+    let test = cached_netsim(
         &opts.out_dir,
-        &format!("sweep_test_n{n_test}_s{}", opts.seed),
-        || generate_dataset(&domain, n_test, opts.seed ^ 0x7E57, threads).expect("datagen"),
+        "sweep_test",
+        uniform(n_test, opts.seed ^ 0x7E57),
+        threads,
     );
     let test_sets = split_into_k(&test, 6, opts.seed).expect("split");
     drop(datagen_span);

@@ -37,6 +37,7 @@ pub mod report;
 pub mod searchview;
 
 use aml_dataset::Dataset;
+use aml_netsim::datagen::DatasetSpec;
 use aml_telemetry::TelemetryLevel;
 use report::BenchReport;
 use std::path::{Path, PathBuf};
@@ -828,6 +829,16 @@ impl minijson::ToJson for aml_interpret::AleBand {
     }
 }
 
+/// Load a cached netsim dataset or generate-and-cache it, keyed by
+/// content ([`DatasetSpec::cache_key`]: datagen version, domain hash,
+/// sampling mode, n and seed), so a changed generator or domain never
+/// reuses a stale CSV.
+pub fn cached_netsim(out_dir: &Path, prefix: &str, spec: DatasetSpec, threads: usize) -> Dataset {
+    cached_dataset(out_dir, &spec.cache_key(prefix), || {
+        spec.generate(threads).expect("datagen")
+    })
+}
+
 /// Load a cached dataset or generate-and-cache it. The cache key must
 /// uniquely identify the generation parameters (include n and seed!).
 pub fn cached_dataset(out_dir: &Path, key: &str, generate: impl FnOnce() -> Dataset) -> Dataset {
@@ -1254,6 +1265,56 @@ mod tests {
         assert_eq!(first.n_rows(), second.n_rows());
         assert_eq!(first.labels(), second.labels());
         std::fs::remove_file(dir.join(format!("{key}.csv"))).ok();
+    }
+
+    fn tiny_spec() -> DatasetSpec {
+        DatasetSpec {
+            domain: aml_netsim::ConditionDomain {
+                link_rate: (2.0, 10.0),
+                rtt: (20.0, 60.0),
+                loss: (0.0, 0.04),
+                flows: (1, 2),
+            },
+            mode: aml_netsim::datagen::SamplingMode::Production,
+            n: 8,
+            seed: 5,
+        }
+    }
+
+    #[test]
+    fn netsim_cache_misses_on_another_version_or_domain() {
+        let dir = std::env::temp_dir().join(format!("aml_netsim_cache_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = tiny_spec();
+        let first = cached_netsim(&dir, "t", spec, 1);
+        let hit = cached_dataset(&dir, &spec.cache_key("t"), || panic!("must hit the cache"));
+        assert_eq!(first, hit);
+
+        let stand_in = || synth::two_moons(6, 0.1, 1).unwrap();
+        let next_version = spec.cache_key_at("t", aml_netsim::datagen::DATAGEN_VERSION + 1);
+        assert_eq!(cached_dataset(&dir, &next_version, stand_in), stand_in());
+        let mut other = spec;
+        other.domain.rtt.1 = 80.0;
+        assert_eq!(
+            cached_dataset(&dir, &other.cache_key("t"), stand_in),
+            stand_in()
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn netsim_dataset_survives_the_csv_cache_unchanged() {
+        let dir = std::env::temp_dir().join(format!("aml_netsim_fresh_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = DatasetSpec {
+            domain: aml_netsim::ConditionDomain::default(),
+            ..tiny_spec()
+        };
+        let fresh = spec.generate(1).unwrap();
+        cached_netsim(&dir, "t", spec, 1);
+        let cached = cached_dataset(&dir, &spec.cache_key("t"), || panic!("must hit the cache"));
+        assert_eq!(cached, fresh, "CSV round trip must be lossless");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

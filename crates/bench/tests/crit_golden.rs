@@ -151,10 +151,13 @@ fn trace_tree_and_critical_path_are_identical_across_worker_counts() {
         sample_run(workers);
         tracetree::set_active(false);
         let nodes = tracetree::entries();
-        let shape: Vec<(u64, u64, String, bool)> = nodes
+        // `entries()` orders nodes by start time, which the scheduler
+        // decides; compare the tree as a set, keyed by span id.
+        let mut shape: Vec<(u64, u64, String, bool)> = nodes
             .iter()
             .map(|n| (n.id, n.parent, n.name.clone(), n.parallel))
             .collect();
+        shape.sort();
         let report = crit::analyze(&nodes, &aml_telemetry::global().snapshot());
         let path: Vec<(String, u64, bool)> = report
             .path

@@ -48,7 +48,9 @@ fn label_scenario(
 
 /// Label one batch of conditions with up to `parallelism` threads.
 /// Output order matches input order; each condition gets an independent
-/// derived seed so results don't depend on batch composition.
+/// derived seed so results don't depend on batch composition. Scenario
+/// costs are skewed, so the threads share a work queue
+/// ([`aml_telemetry::fan_out`]) instead of fixed chunks.
 pub fn label_conditions(
     conditions: &[NetworkCondition],
     master_seed: u64,
@@ -57,68 +59,12 @@ pub fn label_conditions(
     let _span = aml_telemetry::span!("netsim.labeling");
     aml_telemetry::counter_add("netsim.labels", conditions.len() as u64);
     let ctx = aml_telemetry::TraceContext::current();
-    let jobs: Vec<(usize, NetworkCondition)> = conditions.iter().copied().enumerate().collect();
-    if parallelism <= 1 || jobs.len() <= 1 {
-        return jobs
-            .into_iter()
-            .map(|(i, c)| label_scenario(ctx, i, c, master_seed))
-            .collect();
-    }
-    let chunk = jobs.len().div_ceil(parallelism);
-    let mut out: Vec<Option<bool>> = vec![None; conditions.len()];
-    let mut first_err: Option<crate::SimError> = None;
-    scoped_label_chunks(ctx, &jobs, chunk, master_seed, &mut out, &mut first_err);
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    Ok(out
-        .into_iter()
-        .map(|o| o.expect("all slots filled"))
-        .collect())
-}
-
-/// Tiny scoped-thread fan-out on `std::thread::scope`, like the AutoML
-/// search's `train_all`: index-slotted output, so the result is identical
-/// to a sequential run.
-fn scoped_label_chunks(
-    ctx: aml_telemetry::TraceContext,
-    jobs: &[(usize, NetworkCondition)],
-    chunk: usize,
-    master_seed: u64,
-    out: &mut [Option<bool>],
-    first_err: &mut Option<crate::SimError>,
-) {
-    let results: Vec<Vec<(usize, Result<bool>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = jobs
-            .chunks(chunk)
-            .map(|piece| {
-                let piece = piece.to_vec();
-                scope.spawn(move || {
-                    piece
-                        .into_iter()
-                        .map(|(i, c)| (i, label_scenario(ctx, i, c, master_seed)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("labeling threads don't panic"))
-            .collect()
-    });
-    for piece in results {
-        for (i, r) in piece {
-            match r {
-                Ok(label) => out[i] = Some(label),
-                Err(e) => {
-                    if first_err.is_none() {
-                        *first_err = Some(e);
-                    }
-                    out[i] = Some(false);
-                }
-            }
-        }
-    }
+    aml_telemetry::fan_out(conditions, parallelism, |i, &c| {
+        label_scenario(ctx, i, c, master_seed)
+    })
+    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+    .into_iter()
+    .collect()
 }
 
 /// How conditions are drawn from the domain.
@@ -163,6 +109,71 @@ pub fn generate_dataset_mode(
         ds.push_row(&c.to_row(), usize::from(scream_wins))?;
     }
     Ok(ds)
+}
+
+/// Version of the labelled data this module produces. Bump it with any
+/// change that can alter a sampled condition or a label (simulator, label
+/// rule, seed derivation, sampling), so cached datasets keyed by
+/// [`DatasetSpec::cache_key`] are regenerated instead of served stale.
+pub const DATAGEN_VERSION: u32 = 1;
+
+/// Everything that decides the content of one generated dataset.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DatasetSpec {
+    /// Where conditions are drawn from.
+    pub domain: ConditionDomain,
+    /// How they are drawn.
+    pub mode: SamplingMode,
+    /// Number of samples.
+    pub n: usize,
+    /// Generator seed.
+    pub seed: u64,
+}
+
+impl DatasetSpec {
+    /// Generate the dataset ([`generate_dataset_mode`]).
+    pub fn generate(&self, parallelism: usize) -> Result<Dataset> {
+        generate_dataset_mode(&self.domain, self.n, self.seed, parallelism, self.mode)
+    }
+
+    /// A file-name-safe cache key for this dataset under the current
+    /// [`DATAGEN_VERSION`]: `prefix` plus the version, a hash of the
+    /// domain, the sampling mode, `n` and the seed. `prefix` only names
+    /// the file; the content is fully keyed by the rest.
+    pub fn cache_key(&self, prefix: &str) -> String {
+        self.cache_key_at(prefix, DATAGEN_VERSION)
+    }
+
+    /// [`DatasetSpec::cache_key`] under an explicit datagen version
+    /// (exposed for tests).
+    pub fn cache_key_at(&self, prefix: &str, version: u32) -> String {
+        let d = &self.domain;
+        // FNV-1a over the domain's bit patterns: stable across builds.
+        let words = [
+            d.link_rate.0.to_bits(),
+            d.link_rate.1.to_bits(),
+            d.rtt.0.to_bits(),
+            d.rtt.1.to_bits(),
+            d.loss.0.to_bits(),
+            d.loss.1.to_bits(),
+            d.flows.0 as u64,
+            d.flows.1 as u64,
+        ];
+        let hash = words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        let mode = match self.mode {
+            SamplingMode::Uniform => "uniform",
+            SamplingMode::Production => "prod",
+        };
+        format!(
+            "{prefix}_v{version}_d{hash:016x}_{mode}_n{}_s{}",
+            self.n, self.seed
+        )
+    }
 }
 
 /// Label arbitrary feature rows (the feedback loop's "collect the data the
@@ -313,6 +324,44 @@ mod tests {
         assert!(scenarios
             .clone()
             .all(|(_, parent, _, _)| *parent == labeling.0));
+    }
+
+    #[test]
+    fn cache_key_covers_version_domain_mode_size_and_seed() {
+        let spec = DatasetSpec {
+            domain: small_domain(),
+            mode: SamplingMode::Uniform,
+            n: 12,
+            seed: 3,
+        };
+        let key = spec.cache_key("train");
+        assert_eq!(key, spec.cache_key("train"), "keys are stable");
+        assert_eq!(key, spec.cache_key_at("train", DATAGEN_VERSION));
+        let mut wider = small_domain();
+        wider.loss.1 = 0.05;
+        let variants = [
+            spec.cache_key_at("train", DATAGEN_VERSION + 1),
+            DatasetSpec {
+                domain: wider,
+                ..spec
+            }
+            .cache_key("train"),
+            DatasetSpec {
+                mode: SamplingMode::Production,
+                ..spec
+            }
+            .cache_key("train"),
+            DatasetSpec { n: 13, ..spec }.cache_key("train"),
+            DatasetSpec { seed: 4, ..spec }.cache_key("train"),
+        ];
+        for other in &variants {
+            assert_ne!(&key, other);
+        }
+        assert!(key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'));
+        assert_eq!(
+            spec.generate(1).unwrap(),
+            generate_dataset(&small_domain(), 12, 3, 1).unwrap()
+        );
     }
 
     #[test]

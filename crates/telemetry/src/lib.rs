@@ -111,7 +111,7 @@ pub use searchview::{SearchReport, SEARCH_SCHEMA_VERSION};
 pub use sink::{JsonlSink, RunHeader, Sink, SpanEvent};
 pub use span::{current_depth, span, span_labeled, Span};
 pub use trace::ChromeTraceSink;
-pub use tracetree::{SpanId, TraceContext};
+pub use tracetree::{fan_out, SpanId, TraceContext};
 
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU8, Ordering};

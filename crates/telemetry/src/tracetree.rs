@@ -52,7 +52,7 @@
 //! ```
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -287,22 +287,16 @@ pub(crate) fn on_span_close() {
 ///
 /// ```ignore
 /// let ctx = TraceContext::current();
-/// std::thread::scope(|scope| {
-///     for chunk in jobs.chunks(n) {
-///         scope.spawn(move || {
-///             for (i, job) in chunk {
-///                 let _h = ctx.attach(*i as u64); // slot = item index
-///                 let _s = aml_telemetry::span!("worker.item");
-///                 run(job);
-///             }
-///         });
-///     }
+/// fan_out(&jobs, parallelism, |i, job| {
+///     let _h = ctx.attach(i as u64); // slot = item index
+///     let _s = aml_telemetry::span!("worker.item");
+///     run(job)
 /// });
 /// ```
 ///
-/// Because the slot is the *item* index (not the chunk or thread index),
-/// the resulting tree is identical however the items were distributed
-/// over workers.
+/// Because the slot is the *item* index (not the thread index), the
+/// resulting tree is identical however the items were distributed over
+/// workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
     parent: SpanId,
@@ -368,6 +362,73 @@ impl Drop for AttachGuard {
     }
 }
 
+/// Run `job(i, &items[i])` for every item on up to `parallelism` scoped
+/// worker threads and return the results in input order.
+///
+/// The workers share one work queue: each claims the next unclaimed index
+/// from an atomic counter, so a few costly items do not leave the other
+/// workers idle. Each result goes to its input's slot, so the output is
+/// the same whichever thread ran which item; pair it with
+/// [`TraceContext::attach`] under the item's index and the trace tree is
+/// too.
+///
+/// With `parallelism <= 1` or fewer than two items the jobs run in order
+/// on the calling thread, and a panic unwinds through the caller. On
+/// worker threads a panicking job ends its worker; the other workers
+/// drain the queue, and the first payload (in worker order) comes back as
+/// `Err`, leaving the caller to choose its panic policy.
+pub fn fan_out<T, R, F>(items: &[T], parallelism: usize, job: F) -> std::thread::Result<Vec<R>>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+{
+    if parallelism <= 1 || items.len() <= 1 {
+        return Ok(items.iter().enumerate().map(|(i, t)| job(i, t)).collect());
+    }
+    let next = AtomicUsize::new(0);
+    let (next, job) = (&next, &job);
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
+    let mut panicked = None;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..parallelism.min(items.len()))
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        // Relaxed: the counter only hands out indices;
+                        // results come back through `join`, which
+                        // synchronizes.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        done.push((i, job(i, item)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        for worker in workers {
+            match worker.join() {
+                Ok(done) => {
+                    for (i, r) in done {
+                        slots[i] = Some(r);
+                    }
+                }
+                Err(payload) => {
+                    panicked.get_or_insert(payload);
+                }
+            }
+        }
+    });
+    match panicked {
+        Some(payload) => Err(payload),
+        None => Ok(slots
+            .into_iter()
+            .map(|r| r.expect("every index is claimed exactly once"))
+            .collect()),
+    }
+}
+
 /// Every recorded node, sorted by `(start_ns, id)` — parents may sort
 /// after children they outlived (nodes are recorded at close).
 pub fn entries() -> Vec<Node> {
@@ -419,6 +480,43 @@ mod tests {
             .collect();
         s.sort();
         s
+    }
+
+    #[test]
+    fn fan_out_keeps_input_order_and_runs_each_item_once() {
+        let runs = AtomicUsize::new(0);
+        // Uneven costs so the workers finish items out of order.
+        let items: Vec<u64> = (0..40).map(|i| (i * 7919) % 5).collect();
+        for parallelism in [0, 1, 2, 4, 64] {
+            runs.store(0, Ordering::Relaxed);
+            let out = fan_out(&items, parallelism, |i, &cost| {
+                runs.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(std::time::Duration::from_micros(cost * 200));
+                (i, cost * 10)
+            })
+            .unwrap();
+            let expected: Vec<(usize, u64)> = items
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| (i, c * 10))
+                .collect();
+            assert_eq!(out, expected, "parallelism {parallelism}");
+            assert_eq!(runs.load(Ordering::Relaxed), items.len());
+        }
+        assert!(fan_out(&[] as &[u8], 4, |_, _| 0).unwrap().is_empty());
+    }
+
+    #[test]
+    fn fan_out_returns_a_worker_panic_to_the_caller() {
+        let items: Vec<usize> = (0..8).collect();
+        let payload = fan_out(&items, 2, |i, _| {
+            if i == 5 {
+                panic!("item five");
+            }
+            i
+        })
+        .unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"item five"));
     }
 
     #[test]
