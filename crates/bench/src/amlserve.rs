@@ -54,8 +54,9 @@
 //! Cold-start recovery replays `queue.jsonl`, fences any worker
 //! processes orphaned by the previous server life (pidfile +
 //! `/proc/<pid>/cmdline` check, then kill — two writers on one ledger
-//! would corrupt it), marks jobs whose `result.json` landed as done,
-//! and requeues the rest; a requeued job with a valid checkpoint
+//! would corrupt it), marks jobs whose `result.json` landed as done
+//! (appending the history record the dead life never wrote), and
+//! requeues the rest; a requeued job with a valid checkpoint
 //! resumes mid-experiment and its final sorted ledger is byte-identical
 //! to an uninterrupted run (`server_recovery.rs` proves it).
 //!
@@ -835,6 +836,7 @@ impl Server {
                 continue;
             };
             *server.spent.entry(tenant.clone()).or_insert(0) += spec.cost();
+            let mut landed = false;
             let state = match replayed.last_event.as_str() {
                 "done" => JobState::Done,
                 "failed" => JobState::Failed,
@@ -846,6 +848,7 @@ impl Server {
                         // The worker finished while the server was dead.
                         server.journal("done", &id, &[("recovered", "true".into())]);
                         aml_telemetry::counter_add("serve.jobs_done", 1);
+                        landed = true;
                         JobState::Done
                     } else {
                         JobState::Queued
@@ -865,6 +868,9 @@ impl Server {
                 stop_requested: None,
                 failure: None,
             });
+            if landed {
+                server.append_history(server.jobs.len() - 1, None);
+            }
         }
         Ok(server)
     }
@@ -944,7 +950,7 @@ impl Server {
             self.jobs[i].state = JobState::Done;
             self.journal("done", &id, &[]);
             aml_telemetry::counter_add("serve.jobs_done", 1);
-            self.append_history(i, wall);
+            self.append_history(i, Some(wall));
             return;
         }
         if code == Some(STOP_EXIT_CODE) {
@@ -997,8 +1003,10 @@ impl Server {
     }
 
     /// Append a history record for a completed job from its
-    /// `result.json` — the per-job analogue of `--record`.
-    fn append_history(&mut self, i: usize, wall: Duration) {
+    /// `result.json` — the per-job analogue of `--record`. `wall` is the
+    /// server-measured wall; without one (the job finished while the
+    /// server was dead) the worker's own `wall_time_s` is recorded.
+    fn append_history(&mut self, i: usize, wall: Option<Duration>) {
         let id = self.jobs[i].id.clone();
         let result = fs::read_to_string(self.job_dir(&id).join("result.json"))
             .ok()
@@ -1016,7 +1024,10 @@ impl Server {
             seed: self.jobs[i].spec.seed,
             git: String::new(),
             source: "amlserve".into(),
-            wall_time_s: wall.as_secs_f64(),
+            wall_time_s: wall
+                .map(|w| w.as_secs_f64())
+                .or_else(|| get_f64(&result, "wall_time_s"))
+                .unwrap_or(0.0),
             top_span_total_s: 0.0,
             peak_rss_bytes: 0,
             alloc_peak_bytes: 0,
@@ -1615,6 +1626,36 @@ mod tests {
         assert_eq!(replayed[0].1.tenant, "alice");
         assert_eq!(replayed[1].0, "j000002");
         assert_eq!(replayed[1].1.last_event, "done");
+    }
+
+    #[test]
+    fn recovery_records_history_for_a_job_that_finished_while_down() {
+        let dir = std::env::temp_dir().join(format!("amlserve_landed_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let job_dir = dir.join("jobs/j000001");
+        fs::create_dir_all(&job_dir).unwrap();
+        fs::write(
+            dir.join("queue.jsonl"),
+            "{\"event\":\"submitted\",\"job\":\"j000001\",\"tenant\":\"a\",\"cost\":2}\n\
+             {\"event\":\"started\",\"job\":\"j000001\",\"attempt\":0}\n",
+        )
+        .unwrap();
+        fs::write(job_dir.join("job.json"), "{\"spec\":{}}").unwrap();
+        fs::write(
+            job_dir.join("result.json"),
+            "{\"final_acc\":0.9,\"rounds\":2,\"wall_time_s\":1.5}",
+        )
+        .unwrap();
+        let recover = || Server::recover(ServerConfig::new(&dir), PathBuf::from("unused"));
+        let server = recover().unwrap();
+        assert_eq!(server.jobs[0].state, JobState::Done);
+        // A second life replays "done" and must not record the job again.
+        recover().unwrap();
+        let history = fs::read_to_string(dir.join("history.jsonl")).unwrap();
+        assert_eq!(history.lines().count(), 1, "{history}");
+        assert!(history.contains("\"wall_time_s\":1.5"), "{history}");
+        assert!(history.contains("\"final_acc\":0.9"), "{history}");
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -178,6 +178,20 @@ fn kill_and_restart_recovers_all_jobs() {
         assert!(Instant::now() < deadline, "job never checkpointed");
         std::thread::sleep(Duration::from_millis(50));
     }
+    // The checkpoint lands just before the abort; also wait until the
+    // server has reaped the aborted worker and journaled the retry, or
+    // the SIGKILL below can land before this life knows of the crash.
+    let journal = data.join("queue.jsonl");
+    while !fs::read_to_string(&journal)
+        .unwrap_or_default()
+        .contains("\"event\":\"retried\"")
+    {
+        assert!(
+            Instant::now() < deadline,
+            "crash never journaled as a retry"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
 
     // SIGKILL the server. No drain, no cleanup — the crash case.
     server.kill().unwrap();

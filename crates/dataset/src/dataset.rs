@@ -230,6 +230,10 @@ impl Dataset {
     /// upsampling).
     pub fn subset(&self, indices: &[usize]) -> Result<Dataset> {
         let mut out = self.empty_like();
+        // Exact size: subsets are often kept for a whole run, and growing
+        // by doubling would leave up to half of each buffer unused.
+        out.data.reserve_exact(indices.len() * self.n_features);
+        out.labels.reserve_exact(indices.len());
         for &i in indices {
             out.push_row(self.try_row(i)?, self.labels[i])?;
         }

@@ -2,12 +2,13 @@
 //!
 //! One-vs-rest logistic boosting: for each class `c` we maintain an additive
 //! score `F_c(x)` and at every round fit a [`RegressionTree`] to the negative
-//! gradient of the logistic loss (`y − p`), then install Newton-step leaf
-//! values `Σ(y−p) / Σ p(1−p)` (standard LogitBoost/L2-TreeBoost leaf update).
-//! Class probabilities come from a softmax over the K scores.
+//! gradient of the logistic loss (`y − p`) whose leaves hold Newton-step
+//! values (see `newton_leaf_value`). Every tree of a fit grows from one
+//! presorted index of the training rows. Class probabilities come from a
+//! softmax over the K scores.
 
 use crate::model::{check_row, check_training, Classifier};
-use crate::regression::{RegTreeParams, RegressionTree};
+use crate::regression::{RegTreeParams, RegressionTree, TreeGrower};
 use crate::{ModelError, Result};
 use aml_dataset::Dataset;
 
@@ -81,6 +82,7 @@ impl GradientBoosting {
             min_samples_leaf: params.min_samples_leaf,
         };
         let mut stages = Vec::with_capacity(params.n_rounds);
+        let mut grower = TreeGrower::new(ds)?;
 
         for _round in 0..params.n_rounds {
             // Softmax probabilities per sample (shared across the K trees of
@@ -95,24 +97,13 @@ impl GradientBoosting {
                         y - proba[i][c]
                     })
                     .collect();
-                let mut tree = RegressionTree::fit(ds, &grad, &tree_params)?;
-                // Newton leaf values: Σg / Σ|h| with h = p(1−p), damped by
-                // the usual (k−1)/k multiclass factor.
-                let factor = (k as f64 - 1.0) / k as f64;
-                tree.relabel_leaves(|members| {
-                    let g: f64 = members.iter().map(|&i| grad[i]).sum();
-                    let h: f64 = members
-                        .iter()
-                        .map(|&i| proba[i][c] * (1.0 - proba[i][c]))
-                        .sum();
-                    if h.abs() < 1e-12 {
-                        0.0
-                    } else {
-                        factor * g / h
+                let tree = grower.grow(&grad, &tree_params, |rows, _| {
+                    newton_leaf_value(rows, &grad, &proba, c, k)
+                })?;
+                for (rows, value) in grower.leaves() {
+                    for &i in rows {
+                        scores[c][i] += params.learning_rate * value;
                     }
-                });
-                for (i, s) in scores[c].iter_mut().enumerate().take(n) {
-                    *s += params.learning_rate * tree.predict_row(ds.row(i))?;
                 }
                 round_trees.push(tree);
             }
@@ -141,6 +132,26 @@ impl GradientBoosting {
             }
         }
         Ok(scores)
+    }
+}
+
+/// Newton-step value of a class-`c` leaf holding `rows` (ascending):
+///
+/// `(k−1)/k · Σg / Σh`, with `g = y_c − p_c` and `h = p_c(1 − p_c)` summed
+/// over the rows in ascending order, and `0` when `|Σh| < 1e-12`. There is
+/// no regularization term. The `(k−1)/k` factor is the usual multiclass
+/// damping.
+fn newton_leaf_value(rows: &[usize], grad: &[f64], proba: &[Vec<f64>], c: usize, k: usize) -> f64 {
+    let factor = (k as f64 - 1.0) / k as f64;
+    let g: f64 = rows.iter().map(|&i| grad[i]).sum();
+    let h: f64 = rows
+        .iter()
+        .map(|&i| proba[i][c] * (1.0 - proba[i][c]))
+        .sum();
+    if h.abs() < 1e-12 {
+        0.0
+    } else {
+        factor * g / h
     }
 }
 
@@ -297,5 +308,144 @@ mod tests {
         )
         .unwrap();
         assert_eq!(a, b);
+    }
+}
+
+#[cfg(test)]
+mod prop_tests {
+    use super::*;
+    use crate::regression::reference;
+    use aml_propcheck::prelude::*;
+    use aml_rng::rngs::StdRng;
+    use aml_rng::{Rng, SeedableRng};
+
+    /// `GradientBoosting::fit` as it was before presorting: a per-node-sort
+    /// tree per class and round, leaves relabelled from their row lists,
+    /// training scores updated by walking each tree per row.
+    fn reference_fit(ds: &Dataset, params: GbdtParams) -> GradientBoosting {
+        let counts = check_training(ds).unwrap();
+        let (n, k) = (ds.n_rows(), ds.n_classes());
+        let base_score: Vec<f64> = counts
+            .iter()
+            .map(|&c| {
+                let p = (c as f64 / n as f64).clamp(1e-6, 1.0 - 1e-6);
+                (p / (1.0 - p)).ln()
+            })
+            .collect();
+        let mut scores: Vec<Vec<f64>> = (0..k).map(|c| vec![base_score[c]; n]).collect();
+        let tree_params = RegTreeParams {
+            max_depth: params.max_depth,
+            min_samples_leaf: params.min_samples_leaf,
+        };
+        let mut stages = Vec::new();
+        for _round in 0..params.n_rounds {
+            let proba = softmax_columns(&scores, n, k);
+            let mut round_trees = Vec::new();
+            for c in 0..k {
+                let grad: Vec<f64> = (0..n)
+                    .map(|i| f64::from(u8::from(ds.label(i) == c)) - proba[i][c])
+                    .collect();
+                let (mut tree, leaves) = reference::fit(ds, &grad, &tree_params);
+                let factor = (k as f64 - 1.0) / k as f64;
+                reference::relabel(&mut tree, &leaves, |members| {
+                    let g: f64 = members.iter().map(|&i| grad[i]).sum();
+                    let h: f64 = members
+                        .iter()
+                        .map(|&i| proba[i][c] * (1.0 - proba[i][c]))
+                        .sum();
+                    if h.abs() < 1e-12 {
+                        0.0
+                    } else {
+                        factor * g / h
+                    }
+                });
+                for (i, s) in scores[c].iter_mut().enumerate() {
+                    *s += params.learning_rate * tree.predict_row(ds.row(i)).unwrap();
+                }
+                round_trees.push(tree);
+            }
+            stages.push(round_trees);
+        }
+        GradientBoosting {
+            stages,
+            base_score,
+            learning_rate: params.learning_rate,
+            n_classes: k,
+            n_features: ds.n_features(),
+        }
+    }
+
+    /// Rows with many tied values (a 4-level column and a coarse one), one
+    /// continuous column and one constant column; labels follow the first
+    /// column with noise, and every class appears.
+    fn tied_data(n: usize, k: usize, rng: &mut StdRng) -> Dataset {
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|_| {
+                vec![
+                    rng.gen_range(0..4) as f64,
+                    rng.gen_range(0..3) as f64 * 0.5,
+                    rng.gen::<f64>(),
+                    7.0,
+                ]
+            })
+            .collect();
+        let labels: Vec<usize> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                if i < k {
+                    i
+                } else if rng.gen::<f64>() < 0.3 {
+                    rng.gen_range(0..k)
+                } else {
+                    r[0] as usize % k
+                }
+            })
+            .collect();
+        Dataset::from_rows(&rows, &labels, k).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The presorted grower yields the same model as the per-node sort:
+        /// `predict_proba` bit for bit on training and held-out rows.
+        #[test]
+        fn prop_presorted_fit_matches_per_node_sort(
+            seed in 0u64..100_000,
+            n in 8usize..90,
+            four_classes in aml_propcheck::bool::ANY,
+            max_depth in 1usize..5,
+            leaf_mode in 0usize..3,
+            n_rounds in 1usize..6,
+        ) {
+            let k = if four_classes { 4 } else { 2 };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let train = tied_data(n, k, &mut rng);
+            let held_out = tied_data(40, k, &mut rng);
+            // 1–5, or exactly at / just past the root's `2 * min_samples_leaf`
+            // stop boundary.
+            let min_samples_leaf = match leaf_mode {
+                0 => rng.gen_range(1..=5),
+                1 => n / 2,
+                _ => n / 2 + 1,
+            };
+            let params = GbdtParams {
+                n_rounds,
+                learning_rate: 0.2,
+                max_depth,
+                min_samples_leaf,
+            };
+            let fast = GradientBoosting::fit(&train, params.clone()).unwrap();
+            let slow = reference_fit(&train, params);
+            for ds in [&train, &held_out] {
+                for i in 0..ds.n_rows() {
+                    let a = fast.predict_proba_row(ds.row(i)).unwrap();
+                    let b = slow.predict_proba_row(ds.row(i)).unwrap();
+                    let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(&a), bits(&b));
+                }
+            }
+        }
     }
 }
