@@ -25,7 +25,7 @@
 //!    causal chain chart from [`crate::critview`] plus the Amdahl
 //!    speedup ceiling and dominant phase.
 //!
-//! Parsing uses [`crate::minijson`]; unknown ledger event types are
+//! Parsing uses [`aml_telemetry::json`]; unknown ledger event types are
 //! skipped so the report stays forward compatible with additive schema
 //! changes (the ledger versioning contract).
 //!
@@ -35,8 +35,8 @@
 //! region-suggestion drift per feature — same primitives, same
 //! self-containment contract.
 
-use crate::minijson::{self, Value};
 use crate::report::BenchReport;
+use aml_telemetry::json;
 use aml_telemetry::{CritReport, QualityReport, SearchReport, LEDGER_SCHEMA_VERSION};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -133,47 +133,6 @@ pub struct LedgerData {
     pub curves: Vec<(u64, String, String, u64, u64)>,
 }
 
-fn str_field(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing or non-string field '{key}'"))
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field '{key}'"))
-}
-
-/// Numeric field; a JSON `null` (the ledger encoding of a non-finite
-/// float) reads back as NaN.
-fn f64_field(v: &Value, key: &str) -> Result<f64, String> {
-    match v.get(key) {
-        Some(Value::Null) => Ok(f64::NAN),
-        Some(n) => n
-            .as_f64()
-            .ok_or_else(|| format!("non-numeric field '{key}'")),
-        None => Err(format!("missing field '{key}'")),
-    }
-}
-
-fn f64_item(v: &Value) -> Option<f64> {
-    match v {
-        Value::Null => Some(f64::NAN),
-        other => other.as_f64(),
-    }
-}
-
-fn f64_array(v: &Value, key: &str) -> Result<Vec<f64>, String> {
-    v.get(key)
-        .and_then(Value::as_arr)
-        .ok_or_else(|| format!("missing or non-array field '{key}'"))?
-        .iter()
-        .map(|item| f64_item(item).ok_or_else(|| format!("non-numeric item in '{key}'")))
-        .collect()
-}
-
 /// Parse the text of one `ledger.jsonl` file. The first line must be a
 /// `{"type":"ledger", ...}` header with a supported schema version;
 /// unknown event types on later lines are skipped (additive schema
@@ -181,83 +140,81 @@ fn f64_array(v: &Value, key: &str) -> Result<Vec<f64>, String> {
 pub fn parse_ledger(text: &str) -> Result<LedgerData, String> {
     let mut lines = text.lines().enumerate();
     let (_, header_line) = lines.next().ok_or("empty ledger file")?;
-    let header = minijson::parse(header_line).map_err(|e| format!("line 1: {e}"))?;
-    if str_field(&header, "type")? != "ledger" {
+    let header = json::parse(header_line).map_err(|e| format!("line 1: {e}"))?;
+    if header.str_field("type")? != "ledger" {
         return Err("line 1: not a ledger header".into());
     }
-    let version = u64_field(&header, "schema_version")?;
+    let version = header.u64_field("schema_version")?;
     if version != LEDGER_SCHEMA_VERSION {
         return Err(format!(
             "unsupported ledger schema_version {version} (expected {LEDGER_SCHEMA_VERSION})"
         ));
     }
     let mut data = LedgerData {
-        run_id: str_field(&header, "run_id")?,
-        workload: str_field(&header, "workload")?,
-        seed: u64_field(&header, "seed")?,
-        git: str_field(&header, "git")?,
+        run_id: header.str_field("run_id")?,
+        workload: header.str_field("workload")?,
+        seed: header.u64_field("seed")?,
+        git: header.str_field("git")?,
         ..LedgerData::default()
     };
     for (idx, line) in lines {
         if line.trim().is_empty() {
             continue;
         }
-        let v = minijson::parse(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
-        let event = str_field(&v, "type").map_err(|e| format!("line {}: {e}", idx + 1))?;
+        let v = json::parse(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
+        let event = v
+            .str_field("type")
+            .map_err(|e| format!("line {}: {e}", idx + 1))?;
         let parsed: Result<(), String> = (|| {
             match event.as_str() {
                 "trial_started" => data.started += 1,
                 "trial_finished" => data.finished.push(TrialScore {
-                    trial: u64_field(&v, "trial")?,
-                    rung: u64_field(&v, "rung")?,
-                    family: str_field(&v, "family")?,
-                    score: f64_field(&v, "score")?,
+                    trial: v.u64_field("trial")?,
+                    rung: v.u64_field("rung")?,
+                    family: v.str_field("family")?,
+                    score: v.f64_field("score")?,
                 }),
                 "trial_failed" => data.failed.push((
-                    u64_field(&v, "trial")?,
-                    u64_field(&v, "rung")?,
-                    str_field(&v, "family")?,
-                    str_field(&v, "reason").unwrap_or_else(|_| "error".into()),
+                    v.u64_field("trial")?,
+                    v.u64_field("rung")?,
+                    v.str_field("family")?,
+                    v.str_field("reason").unwrap_or_else(|_| "error".into()),
                 )),
                 "ensemble_selected" => {
                     let members = v
-                        .get("members")
-                        .and_then(Value::as_arr)
-                        .ok_or("missing or non-array field 'members'")?
+                        .array_field("members")?
                         .iter()
                         .map(|m| {
                             Ok((
-                                u64_field(m, "trial")?,
-                                str_field(m, "family")?,
-                                f64_field(m, "weight")?,
-                                f64_field(m, "score")?,
+                                m.u64_field("trial")?,
+                                m.str_field("family")?,
+                                m.f64_field("weight")?,
+                                m.f64_field("score")?,
                             ))
                         })
                         .collect::<Result<Vec<_>, String>>()?;
                     data.ensembles.push(EnsembleRecord {
-                        val_score: f64_field(&v, "val_score")?,
+                        val_score: v.f64_field("val_score")?,
                         members,
                     });
                 }
                 "round_completed" => data.rounds.push(RoundRecord {
-                    round: u64_field(&v, "round")?,
-                    strategy: str_field(&v, "strategy")?,
-                    acc_mean: f64_field(&v, "acc_mean")?,
-                    acc_min: f64_field(&v, "acc_min")?,
-                    acc_max: f64_field(&v, "acc_max")?,
-                    points_added: u64_field(&v, "points_added")?,
-                    regions: u64_field(&v, "regions")?,
+                    round: v.u64_field("round")?,
+                    strategy: v.str_field("strategy")?,
+                    acc_mean: v.f64_field("acc_mean")?,
+                    acc_min: v.f64_field("acc_min")?,
+                    acc_max: v.f64_field("acc_max")?,
+                    points_added: v.u64_field("points_added")?,
+                    regions: v.u64_field("regions")?,
                 }),
                 "region_suggested" => {
                     let intervals = v
-                        .get("intervals")
-                        .and_then(Value::as_arr)
-                        .ok_or("missing or non-array field 'intervals'")?
+                        .array_field("intervals")?
                         .iter()
                         .map(|pair| {
                             let pair = pair.as_arr().filter(|p| p.len() == 2);
                             match pair {
-                                Some([lo, hi]) => match (f64_item(lo), f64_item(hi)) {
+                                Some([lo, hi]) => match (lo.as_f64_or_nan(), hi.as_f64_or_nan()) {
                                     (Some(lo), Some(hi)) => Ok((lo, hi)),
                                     _ => Err("non-numeric interval bound".to_string()),
                                 },
@@ -266,21 +223,21 @@ pub fn parse_ledger(text: &str) -> Result<LedgerData, String> {
                         })
                         .collect::<Result<Vec<_>, String>>()?;
                     data.bands.push(BandRecord {
-                        feature: u64_field(&v, "feature")?,
-                        name: str_field(&v, "name")?,
-                        threshold: f64_field(&v, "threshold")?,
+                        feature: v.u64_field("feature")?,
+                        name: v.str_field("name")?,
+                        threshold: v.f64_field("threshold")?,
                         intervals,
-                        grid: f64_array(&v, "grid")?,
-                        mean: f64_array(&v, "mean")?,
-                        std: f64_array(&v, "std")?,
+                        grid: v.f64_array_field("grid")?,
+                        mean: v.f64_array_field("mean")?,
+                        std: v.f64_array_field("std")?,
                     });
                 }
                 "ale_curve" => data.curves.push((
-                    u64_field(&v, "feature")?,
-                    str_field(&v, "model")?,
-                    str_field(&v, "method")?,
-                    u64_field(&v, "grid_points")?,
-                    u64_field(&v, "rows")?,
+                    v.u64_field("feature")?,
+                    v.str_field("model")?,
+                    v.str_field("method")?,
+                    v.u64_field("grid_points")?,
+                    v.u64_field("rows")?,
                 )),
                 _ => {} // forward compatible: skip unknown event types
             }

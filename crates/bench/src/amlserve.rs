@@ -70,11 +70,11 @@
 //! the worker by the PR 5 sandbox and surface as `trial_failed` ledger
 //! events, not worker deaths.
 
-use crate::minijson::{self, Value};
 use aml_core::{run_strategy, ExperimentConfig, ExperimentLoop, Strategy};
 use aml_dataset::split::{split_into_k, three_way_split};
 use aml_dataset::{csv, synth, Dataset};
 use aml_faults::FaultPlan;
+use aml_telemetry::json::{self, number, Precision::Shortest, Value};
 use aml_telemetry::serve::{dashboard_html, render_history_json, HttpRequest};
 use aml_telemetry::serve::{read_request, render_prometheus, write_response};
 use aml_telemetry::sink::{self, RunHeader};
@@ -395,7 +395,7 @@ fn worker_inner(job_dir: &Path, inject_crash: bool) -> Result<i32, String> {
     let started = Instant::now();
     let text = fs::read_to_string(job_dir.join("job.json"))
         .map_err(|e| format!("cannot read job.json: {e}"))?;
-    let parsed = minijson::parse(&text).map_err(|e| format!("job.json: {e}"))?;
+    let parsed = json::parse(&text).map_err(|e| format!("job.json: {e}"))?;
     let id = parsed
         .get("id")
         .and_then(Value::as_str)
@@ -509,23 +509,19 @@ fn worker_inner(job_dir: &Path, inject_crash: bool) -> Result<i32, String> {
 
     sink::finish(&Snapshot::default());
     let totals = summary.snapshot();
-    let final_acc = if last_scores.is_empty() {
-        "null".to_string()
-    } else {
-        let acc = last_scores.iter().sum::<f64>() / last_scores.len() as f64;
-        format!("{acc}")
-    };
+    // The mean of no scores is NaN, which `number` writes as `null`.
+    let final_acc = last_scores.iter().sum::<f64>() / last_scores.len() as f64;
     let result = format!(
         "{{\"id\":{},\"name\":{},\"seed\":{},\"final_acc\":{},\"trials_finished\":{},\
          \"trials_failed\":{},\"rounds\":{},\"ece\":{},\"wall_time_s\":{}}}",
         json_string_literal(&id),
         json_string_literal(&spec.name),
         spec.seed,
-        final_acc,
+        number(final_acc, Shortest),
         totals.trials_finished,
         totals.trials_failed,
         totals.rounds,
-        totals.ece.map_or("null".to_string(), |e| format!("{e}")),
+        number(totals.ece.unwrap_or(f64::NAN), Shortest),
         started.elapsed().as_secs_f64(),
     );
     // result.json is the completion marker; written last, atomically.
@@ -702,7 +698,7 @@ fn replay_journal(text: &str) -> Vec<(String, ReplayedJob)> {
     let mut order: Vec<String> = Vec::new();
     let mut map: HashMap<String, ReplayedJob> = HashMap::new();
     for line in text.lines() {
-        let Ok(v) = minijson::parse(line) else {
+        let Ok(v) = json::parse(line) else {
             continue;
         };
         let (Some(event), Some(id)) = (
@@ -816,7 +812,7 @@ impl Server {
             let job_dir = server.job_dir(&id);
             let spec = fs::read_to_string(job_dir.join("job.json"))
                 .ok()
-                .and_then(|t| minijson::parse(&t).ok())
+                .and_then(|t| json::parse(&t).ok())
                 .and_then(|v| v.get("spec").and_then(|s| JobSpec::from_json(s).ok()));
             let tenant = if replayed.tenant.is_empty() {
                 "default".to_string()
@@ -1010,7 +1006,7 @@ impl Server {
         let id = self.jobs[i].id.clone();
         let result = fs::read_to_string(self.job_dir(&id).join("result.json"))
             .ok()
-            .and_then(|t| minijson::parse(&t).ok());
+            .and_then(|t| json::parse(&t).ok());
         let get_u64 = |v: &Option<Value>, key: &str| {
             v.as_ref()
                 .and_then(|v| v.get(key).and_then(Value::as_u64))
@@ -1284,7 +1280,7 @@ impl Server {
             return reject(self, "injected submit_burst: queue treated as full");
         }
         let body = String::from_utf8_lossy(&req.body).into_owned();
-        let parsed = match minijson::parse(if body.trim().is_empty() { "{}" } else { &body }) {
+        let parsed = match json::parse(if body.trim().is_empty() { "{}" } else { &body }) {
             Ok(v) => v,
             Err(e) => return Response::error("400 Bad Request", &format!("body: {e}")),
         };
@@ -1463,7 +1459,7 @@ impl Server {
             .unwrap_or_default();
         let result = fs::read_to_string(job_dir.join("result.json"))
             .ok()
-            .filter(|t| minijson::parse(t).is_ok())
+            .filter(|t| json::parse(t).is_ok())
             .unwrap_or_else(|| "null".to_string());
         Response::json(
             "200 OK",
@@ -1538,7 +1534,7 @@ mod tests {
 
     #[test]
     fn spec_defaults_and_round_trip() {
-        let spec = JobSpec::from_json(&minijson::parse("{}").unwrap()).unwrap();
+        let spec = JobSpec::from_json(&json::parse("{}").unwrap()).unwrap();
         assert_eq!(spec.name, "job");
         assert_eq!(spec.seed, 21);
         assert_eq!(spec.rounds, vec![Strategy::NoFeedback, Strategy::Uniform]);
@@ -1551,14 +1547,14 @@ mod tests {
             }
         );
         assert_eq!(spec.cost(), 2);
-        let reparsed = JobSpec::from_json(&minijson::parse(&spec.to_json()).unwrap()).unwrap();
+        let reparsed = JobSpec::from_json(&json::parse(&spec.to_json()).unwrap()).unwrap();
         assert_eq!(reparsed, spec);
     }
 
     #[test]
     fn spec_parses_explicit_fields_and_rejects_bad_ones() {
         let spec = JobSpec::from_json(
-            &minijson::parse(
+            &json::parse(
                 "{\"name\":\"x\",\"seed\":7,\"dataset\":{\"kind\":\"xor\",\"n\":100,\"flip\":0.1,\
                  \"seed\":3},\"rounds\":[\"Uniform\",\"QBC\"],\"round_sleep_ms\":250,\
                  \"timeout_ms\":9000}",
@@ -1572,23 +1568,20 @@ mod tests {
         assert_eq!(spec.timeout_ms, Some(9000));
         assert!(matches!(spec.dataset, DatasetSpec::Xor { n: 100, .. }));
 
-        let err =
-            JobSpec::from_json(&minijson::parse("{\"rounds\":[\"Nope\"]}").unwrap()).unwrap_err();
+        let err = JobSpec::from_json(&json::parse("{\"rounds\":[\"Nope\"]}").unwrap()).unwrap_err();
         assert!(err.contains("unknown strategy 'Nope'"), "{err}");
-        let err =
-            JobSpec::from_json(&minijson::parse("{\"dataset\":{\"kind\":\"parquet\"}}").unwrap())
-                .unwrap_err();
+        let err = JobSpec::from_json(&json::parse("{\"dataset\":{\"kind\":\"parquet\"}}").unwrap())
+            .unwrap_err();
         assert!(err.contains("unknown dataset.kind"), "{err}");
-        let err = JobSpec::from_json(&minijson::parse("{\"rounds\":[]}").unwrap()).unwrap_err();
+        let err = JobSpec::from_json(&json::parse("{\"rounds\":[]}").unwrap()).unwrap_err();
         assert!(err.contains("must not be empty"), "{err}");
     }
 
     #[test]
     fn csv_submissions_default_to_csv_dataset() {
-        let spec = JobSpec::from_json(
-            &minijson::parse("{\"csv\":\"f0,f1,label\\n0.1,0.2,0\\n\"}").unwrap(),
-        )
-        .unwrap();
+        let spec =
+            JobSpec::from_json(&json::parse("{\"csv\":\"f0,f1,label\\n0.1,0.2,0\\n\"}").unwrap())
+                .unwrap();
         assert_eq!(spec.dataset, DatasetSpec::Csv);
     }
 

@@ -28,10 +28,10 @@ use aml_bench::gate::{
     compare, gate_against_history, gate_quality_against_history, history_baseline, parse_history,
     GateConfig, GateOutcome,
 };
-use aml_bench::minijson::Value;
 use aml_bench::qualityview::parse_quality_artifact;
 use aml_bench::report::{median_report, BenchReport};
 use aml_telemetry::history::DEFAULT_HISTORY_PATH;
+use aml_telemetry::json::Value;
 use aml_telemetry::{CritReport, HistoryRecord};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -632,7 +632,7 @@ fn run_workloads(opts: RunPlanOpts) -> i32 {
 /// and write `BENCH_<workload>.json` into the output directory. The
 /// first repeat also exports `trace.json` / `events.jsonl` /
 /// `ledger.jsonl` / `crit.json` for the workload so every gate run
-/// doubles as a profiling artifact (and feeds `amlreport` / `amlcrit`).
+/// doubles as a profiling artifact (and feeds `amlreport` / `amlview crit`).
 fn run_one_workload(
     bin_dir: &Path,
     workload: &str,

@@ -19,8 +19,8 @@
 //! tolerance/abs-floor rules to the medians. An empty history cannot
 //! anchor any check, so the caller treats it as a pass with a warning.
 
-use crate::minijson::{ToJson, Value};
 use crate::report::BenchReport;
+use aml_telemetry::json::{self, ToJson, Value};
 use aml_telemetry::{HistoryRecord, HISTORY_SCHEMA_VERSION};
 use std::fmt::Write as _;
 
@@ -312,7 +312,7 @@ pub fn parse_history(text: &str) -> Vec<HistoryRecord> {
             if line.is_empty() {
                 return None;
             }
-            let v = crate::minijson::parse(line).ok()?;
+            let v = json::parse(line).ok()?;
             if v.get("type")?.as_str()? != "history"
                 || v.get("schema_version")?.as_u64()? != HISTORY_SCHEMA_VERSION
             {
@@ -380,9 +380,10 @@ pub fn history_baseline(
         xs.sort_by(f64::total_cmp);
         percentile(&xs, 0.5)
     };
-    // Quality medians span only the window records that measured them
-    // (runs without feedback rounds, or written before the quality
-    // plane, contribute nothing rather than dragging the median to 0).
+    // Quality and peak-RSS medians span only the window records that
+    // measured them (runs without feedback rounds, records written before
+    // the quality plane, and a 0 peak RSS — not measured — contribute
+    // nothing rather than dragging the median to 0).
     let opt_median = |field: &dyn Fn(&HistoryRecord) -> Option<f64>| {
         let mut xs: Vec<f64> = tail.iter().filter_map(|r| field(r)).collect();
         if xs.is_empty() {
@@ -395,7 +396,8 @@ pub fn history_baseline(
         n_used: tail.len(),
         wall_time_s: median(&|r| r.wall_time_s),
         top_span_total_s: median(&|r| r.top_span_total_s),
-        peak_rss_bytes: median(&|r| r.peak_rss_bytes as f64),
+        peak_rss_bytes: opt_median(&|r| (r.peak_rss_bytes > 0).then_some(r.peak_rss_bytes as f64))
+            .unwrap_or(0.0),
         alloc_peak_bytes: median(&|r| r.alloc_peak_bytes as f64),
         final_acc: opt_median(&|r| r.final_acc),
         ece: opt_median(&|r| r.ece),
@@ -405,8 +407,9 @@ pub fn history_baseline(
 /// Gate a fresh run against a rolling-median baseline: timing metrics
 /// use the usual tolerance + absolute floor (and honor
 /// [`GateConfig::scale_new`]); memory metrics compare unscaled with a
-/// 1 MiB floor and are skipped when neither side ever observed them
-/// (RSS off Linux, heap without `alloc-track`).
+/// 1 MiB floor. Peak RSS is compared only when both sides measured it
+/// (0 = not measured: off Linux, or an old record); the heap peak is
+/// skipped when neither side observed it (no `alloc-track`).
 pub fn gate_against_history(
     baseline: &HistoryBaseline,
     new: &HistoryRecord,
@@ -429,7 +432,7 @@ pub fn gate_against_history(
         ),
     ];
     let mem_floor = (1u64 << 20) as f64;
-    if baseline.peak_rss_bytes > 0.0 || new.peak_rss_bytes > 0 {
+    if baseline.peak_rss_bytes > 0.0 && new.peak_rss_bytes > 0 {
         diffs.push(diff_metric(
             "peak_rss_bytes",
             baseline.peak_rss_bytes,
@@ -650,7 +653,7 @@ mod tests {
         let cfg = GateConfig::default();
         let outcome = compare(&old, &new, &cfg);
         let json = outcome.render_json("table1_scream", &cfg);
-        let v = crate::minijson::parse(&json).expect("render_json emits valid JSON");
+        let v = json::parse(&json).expect("render_json emits valid JSON");
         assert_eq!(v.get("workload").unwrap().as_str(), Some("table1_scream"));
         assert_eq!(v.get("tolerance_pct").unwrap().as_f64(), Some(10.0));
         assert_eq!(v.get("abs_floor_ms").unwrap().as_f64(), Some(5.0));
@@ -670,7 +673,7 @@ mod tests {
 
         // A zero baseline renders delta_pct as JSON null.
         let zero = compare(&report(0.0, &[]), &report(0.0, &[]), &cfg);
-        let v = crate::minijson::parse(&zero.render_json("w", &cfg)).unwrap();
+        let v = json::parse(&zero.render_json("w", &cfg)).unwrap();
         assert_eq!(
             v.get("metrics").unwrap().as_arr().unwrap()[0]
                 .get("delta_pct")
@@ -728,6 +731,13 @@ mod tests {
         assert_eq!(b.n_used, 3);
         assert_eq!(b.wall_time_s, 20.0);
         assert_eq!(b.peak_rss_bytes, (60u64 << 20) as f64);
+        // A 0 peak RSS is "not measured" and stays out of the median.
+        let mut unmeasured = records.clone();
+        unmeasured.insert(1, history_record("w", 0, 20.0, 0));
+        unmeasured.insert(1, history_record("w", 0, 20.0, 0));
+        let b = history_baseline(&unmeasured, "w", 10).unwrap();
+        assert_eq!(b.n_used, 5);
+        assert_eq!(b.peak_rss_bytes, (60u64 << 20) as f64);
         // Window of 2 takes the *last* two (most recent runs).
         let b = history_baseline(&records, "w", 2).unwrap();
         assert_eq!(b.n_used, 2);
@@ -776,14 +786,18 @@ mod tests {
     fn history_gate_skips_memory_metrics_nobody_measured() {
         let records = vec![history_record("w", 1, 10.0, 0)];
         let baseline = history_baseline(&records, "w", 1).unwrap();
-        let outcome = gate_against_history(
-            &baseline,
-            &history_record("w", 2, 10.0, 0),
-            &GateConfig::default(),
-        );
-        assert!(outcome.passed());
-        assert_eq!(outcome.diffs.len(), 2, "{:?}", outcome.diffs);
-        assert!(outcome.diffs.iter().all(|d| !d.metric.contains("bytes")));
+        // Neither side measured, and the first real reading against a
+        // history of unmeasured (0) peaks.
+        for new_rss in [0, 300 << 20] {
+            let outcome = gate_against_history(
+                &baseline,
+                &history_record("w", 2, 10.0, new_rss),
+                &GateConfig::default(),
+            );
+            assert!(outcome.passed());
+            assert_eq!(outcome.diffs.len(), 2, "{:?}", outcome.diffs);
+            assert!(outcome.diffs.iter().all(|d| !d.metric.contains("bytes")));
+        }
     }
 
     #[test]
@@ -792,8 +806,7 @@ mod tests {
         let baseline = history_baseline(&records, "w", 5).unwrap();
         let cfg = GateConfig::default();
         let outcome = gate_against_history(&baseline, &history_record("w", 2, 10.1, 0), &cfg);
-        let v = crate::minijson::parse(&outcome.render_history_json("w", &cfg, 5, baseline.n_used))
-            .unwrap();
+        let v = json::parse(&outcome.render_history_json("w", &cfg, 5, baseline.n_used)).unwrap();
         assert_eq!(v.get("workload").unwrap().as_str(), Some("w"));
         assert_eq!(v.get("history_requested").unwrap().as_u64(), Some(5));
         assert_eq!(v.get("history_n").unwrap().as_u64(), Some(1));
@@ -804,7 +817,7 @@ mod tests {
             diffs: vec![],
             unmatched: vec![],
         };
-        let v = crate::minijson::parse(&empty.render_history_json("w", &cfg, 5, 0)).unwrap();
+        let v = json::parse(&empty.render_history_json("w", &cfg, 5, 0)).unwrap();
         assert_eq!(v.get("history_n").unwrap().as_u64(), Some(0));
         assert_eq!(v.get("pass").unwrap(), &Value::Bool(true));
         assert_eq!(v.get("regressions").unwrap().as_u64(), Some(0));

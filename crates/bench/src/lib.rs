@@ -31,14 +31,16 @@ pub mod amlreport;
 pub mod amlserve;
 pub mod critview;
 pub mod gate;
-pub mod minijson;
 pub mod qualityview;
 pub mod report;
 pub mod searchview;
 
+/// The workspace JSON codec, also reachable by its former path here.
+pub use aml_telemetry::json as minijson;
+
 use aml_dataset::Dataset;
 use aml_netsim::datagen::DatasetSpec;
-use aml_telemetry::TelemetryLevel;
+use aml_telemetry::{json, TelemetryLevel};
 use report::BenchReport;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -112,14 +114,14 @@ pub struct RunOpts {
     /// Collect search observability (declared-space coverage, rung
     /// funnels, hyperparameter importance) during the run and write
     /// `search.json` here at the end; also printed as a table on stderr,
-    /// served live at `/search` with `--serve`, and read by the
-    /// `amlsearch` bin (which recomputes the same report from a ledger).
+    /// served live at `/search` with `--serve`, and read by
+    /// `amlview search` (which recomputes the same report from a ledger).
     pub search_out: Option<PathBuf>,
     /// Collect the model/data-quality plane (dataset profiles, PSI drift,
     /// confusion/calibration diagnostics) during the run and write
     /// `quality.json` here at the end; also printed as a table on stderr,
-    /// served live at `/quality` with `--serve`, and read by the
-    /// `amlquality` bin (which recomputes the same report from a ledger).
+    /// served live at `/quality` with `--serve`, and read by
+    /// `amlview quality` (which recomputes the same report from a ledger).
     pub quality_out: Option<PathBuf>,
     /// Drift baseline for the quality plane (`--quality-ref`): a previous
     /// run's `quality.json` whose latest train profile anchors the PSI
@@ -181,17 +183,17 @@ options:
                           per-phase serial fraction / Amdahl speedup ceiling,
                           per-scenario datagen costs) as JSON; printed as a
                           table on stderr, served live at /crit, and read by
-                          the `amlcrit` bin
+                          `amlview crit`
   --search-out PATH       collect search observability (declared-space
                           coverage, successive-halving rung funnels,
                           fANOVA-lite hyperparameter importance) and write
                           search.json; printed as a table on stderr, served
-                          live at /search, and read by the `amlsearch` bin
+                          live at /search, and read by `amlview search`
   --quality-out PATH      collect the model/data-quality plane (per-feature
                           dataset profiles, PSI drift, confusion matrix,
                           reliability/ECE calibration) and write quality.json;
                           printed as a table on stderr, served live at
-                          /quality, and read by the `amlquality` bin
+                          /quality, and read by `amlview quality`
   --quality-ref PATH      drift baseline: a previous run's quality.json whose
                           latest train profile anchors the PSI scores (the
                           default drifts each round against the previous one)
@@ -640,7 +642,7 @@ impl RunOpts {
             }
         }
         if let Some(path) = &self.record {
-            let record = self.history_record(bench.as_ref().unwrap(), &manifest.snapshot);
+            let record = self.history_record(bench.as_ref().unwrap());
             match record.append(path) {
                 Ok(()) => aml_telemetry::note(&format!("recorded history -> {}", path.display())),
                 Err(e) => aml_telemetry::warn(&format!(
@@ -680,7 +682,7 @@ impl RunOpts {
         if let Some(path) = &self.search_out {
             // Deactivate first so the report is computed over a frozen
             // trial set; render_table gives the operator the same view
-            // amlsearch prints from the ledger.
+            // amlview search prints from the ledger.
             aml_telemetry::searchview::set_active(false);
             match aml_telemetry::searchview::write_json(path) {
                 Ok(report) => {
@@ -695,7 +697,7 @@ impl RunOpts {
         }
         if let Some(path) = &self.quality_out {
             // Deactivate first so the report reduces a frozen event store;
-            // render_table mirrors what amlquality prints from the ledger.
+            // render_table mirrors what amlview quality prints from the ledger.
             aml_telemetry::quality::set_active(false);
             match aml_telemetry::quality::write_json(path) {
                 Ok(report) => {
@@ -712,21 +714,11 @@ impl RunOpts {
     }
 
     /// Distill this run into one cross-run history record: perf numbers
-    /// from the BENCH report, peak RSS from the `proc.*` gauges, ML
-    /// totals from the summary collector (zeros when no collector was
-    /// installed — e.g. a workload that never emits ledger events).
-    pub fn history_record(
-        &self,
-        bench: &BenchReport,
-        snapshot: &aml_telemetry::Snapshot,
-    ) -> aml_telemetry::HistoryRecord {
-        let gauge = |name: &str| {
-            snapshot
-                .gauges
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-        };
+    /// from the BENCH report, peak RSS from the kernel's high-water mark
+    /// (`VmHWM`; 0 = not measured, off Linux), ML totals from the summary
+    /// collector (zeros when no collector was installed — e.g. a workload
+    /// that never emits ledger events).
+    pub fn history_record(&self, bench: &BenchReport) -> aml_telemetry::HistoryRecord {
         let summary = self.summary.as_ref().map(|h| h.snapshot());
         aml_telemetry::HistoryRecord {
             workload: self.workload.clone(),
@@ -735,9 +727,7 @@ impl RunOpts {
             source: "run".into(),
             wall_time_s: bench.wall_time_s,
             top_span_total_s: bench.top_span_total_s,
-            peak_rss_bytes: gauge("proc.rss_peak_bytes")
-                .or_else(|| gauge("proc.rss_bytes"))
-                .unwrap_or(0),
+            peak_rss_bytes: aml_telemetry::resource::sample().map_or(0, |s| s.rss_peak_bytes),
             alloc_peak_bytes: bench.alloc.as_ref().map_or(0, |a| a.peak_bytes),
             final_acc: summary.as_ref().and_then(|s| s.final_acc),
             trials_finished: summary.as_ref().map_or(0, |s| s.trials_finished),
@@ -811,22 +801,30 @@ pub fn write_artifact(out_dir: &Path, name: &str, content: &str) {
     }
 }
 
-/// Write a JSON artifact (pretty-printed via [`minijson::Value::render`]).
-pub fn write_json<T: minijson::ToJson + ?Sized>(out_dir: &Path, name: &str, value: &T) {
+/// Write a JSON artifact (pretty-printed via [`json::Value::render`]).
+pub fn write_json<T: json::ToJson + ?Sized>(out_dir: &Path, name: &str, value: &T) {
     write_artifact(out_dir, name, &value.to_json().render());
 }
 
-impl minijson::ToJson for aml_interpret::AleBand {
-    fn to_json(&self) -> minijson::Value {
-        minijson::Value::Obj(vec![
-            ("feature".into(), self.feature.to_json()),
-            ("feature_name".into(), self.feature_name.to_json()),
-            ("grid".into(), self.grid.to_json()),
-            ("mean".into(), self.mean.to_json()),
-            ("std".into(), self.std.to_json()),
-            ("n_models".into(), self.n_models.to_json()),
-        ])
-    }
+/// ALE bands as a JSON array, one object per feature (the figure
+/// binaries' `*_bands.json` / `*_features.json` artifacts).
+pub fn bands_to_json(bands: &[aml_interpret::AleBand]) -> json::Value {
+    use json::ToJson;
+    json::Value::Arr(
+        bands
+            .iter()
+            .map(|b| {
+                json::Value::Obj(vec![
+                    ("feature".into(), b.feature.to_json()),
+                    ("feature_name".into(), b.feature_name.to_json()),
+                    ("grid".into(), b.grid.to_json()),
+                    ("mean".into(), b.mean.to_json()),
+                    ("std".into(), b.std.to_json()),
+                    ("n_models".into(), b.n_models.to_json()),
+                ])
+            })
+            .collect(),
+    )
 }
 
 /// Load a cached netsim dataset or generate-and-cache it, keyed by
@@ -958,7 +956,7 @@ mod tests {
     }
 
     #[test]
-    fn history_record_maps_bench_and_gauges() {
+    fn history_record_maps_bench_and_reads_peak_rss() {
         let mut opts = parse(&["--seed", "7"]).unwrap().unwrap();
         opts.workload = "w".into();
         let bench = BenchReport {
@@ -975,35 +973,19 @@ mod tests {
             histograms: vec![],
             alloc: None,
         };
-        let snapshot = aml_telemetry::Snapshot {
-            spans: vec![],
-            counters: vec![],
-            gauges: vec![
-                ("proc.rss_bytes".into(), 50 << 20),
-                ("proc.rss_peak_bytes".into(), 70 << 20),
-            ],
-            histograms: vec![],
-        };
-        let rec = opts.history_record(&bench, &snapshot);
+        // No sampler runs here (no --serve): the peak still comes from
+        // the kernel's high-water mark.
+        let rec = opts.history_record(&bench);
         assert_eq!(rec.workload, "w");
         assert_eq!(rec.seed, 7);
         assert_eq!(rec.source, "run");
         assert_eq!(rec.wall_time_s, 12.5);
-        assert_eq!(rec.peak_rss_bytes, 70 << 20);
+        if cfg!(target_os = "linux") {
+            assert!(rec.peak_rss_bytes > 0, "{rec:?}");
+        }
         // No summary collector installed: ML totals default to zero/None.
         assert_eq!(rec.final_acc, None);
         assert_eq!(rec.trials_finished, 0);
-        // Without the peak gauge the current-RSS gauge is the fallback.
-        let snapshot = aml_telemetry::Snapshot {
-            spans: vec![],
-            counters: vec![],
-            gauges: vec![("proc.rss_bytes".into(), 50 << 20)],
-            histograms: vec![],
-        };
-        assert_eq!(
-            opts.history_record(&bench, &snapshot).peak_rss_bytes,
-            50 << 20
-        );
     }
 
     #[test]

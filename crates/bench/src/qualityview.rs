@@ -1,16 +1,16 @@
 //! Read-side of the quality plane: recompute the model/data-quality
 //! report from a `ledger.jsonl`, read back a rendered `quality.json`,
 //! load a drift baseline for `--quality-ref`, render the SVG panels for
-//! `amlreport`, and diff two reports for `amlquality --compare`.
+//! `amlreport`, and diff two reports for `amlview quality --compare`.
 //!
 //! The heavy lifting lives in `aml_telemetry::quality::report_from_events`
 //! — this module only reconstructs its inputs (the `dataset_profile` and
 //! `model_diagnostics` ledger lines) and reuses the identical pure
-//! reduction, so `amlquality ledger.jsonl` reproduces `--quality-out`'s
+//! reduction, so `amlview quality ledger.jsonl` reproduces `--quality-out`'s
 //! `quality.json` byte for byte (when the run used no `--quality-ref`;
 //! a baseline changes the drift section by design).
 
-use crate::minijson::{self, Value};
+use aml_telemetry::json::{self, Value};
 use aml_telemetry::quality::{
     report_from_events, DriftReport, FinalDiagnostics, QualityReport, Reliability, RoundQuality,
     SplitProfile,
@@ -20,104 +20,30 @@ use aml_telemetry::{
 };
 use std::fmt::Write;
 
-fn str_field(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing or non-string field '{key}'"))
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field '{key}'"))
-}
-
-/// Numeric field; a JSON `null` (the ledger encoding of a non-finite
-/// float) reads back as NaN.
-fn f64_field(v: &Value, key: &str) -> Result<f64, String> {
-    match v.get(key) {
-        Some(Value::Null) => Ok(f64::NAN),
-        Some(n) => n
-            .as_f64()
-            .ok_or_else(|| format!("non-numeric field '{key}'")),
-        None => Err(format!("missing field '{key}'")),
-    }
-}
-
-/// Optional field: JSON `null` reads back as `None`.
-fn opt_f64_field(v: &Value, key: &str) -> Result<Option<f64>, String> {
-    match v.get(key) {
-        Some(Value::Null) => Ok(None),
-        Some(n) => n
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| format!("non-numeric field '{key}'")),
-        None => Err(format!("missing field '{key}'")),
-    }
-}
-
-fn bool_field(v: &Value, key: &str) -> Result<bool, String> {
-    match v.get(key) {
-        Some(Value::Bool(b)) => Ok(*b),
-        _ => Err(format!("missing or non-boolean field '{key}'")),
-    }
-}
-
-fn u64_array_field(v: &Value, key: &str) -> Result<Vec<u64>, String> {
-    v.get(key)
-        .and_then(Value::as_arr)
-        .ok_or_else(|| format!("missing '{key}' array"))?
-        .iter()
-        .map(|c| {
-            c.as_u64()
-                .ok_or_else(|| format!("non-integer entry in '{key}'"))
-        })
-        .collect()
-}
-
-fn f64_array_field(v: &Value, key: &str) -> Result<Vec<f64>, String> {
-    v.get(key)
-        .and_then(Value::as_arr)
-        .ok_or_else(|| format!("missing '{key}' array"))?
-        .iter()
-        .map(|c| match c {
-            Value::Null => Ok(f64::NAN),
-            n => n
-                .as_f64()
-                .ok_or_else(|| format!("non-numeric entry in '{key}'")),
-        })
-        .collect()
-}
-
 fn parse_feature_profile(v: &Value) -> Result<FeatureProfile, String> {
     Ok(FeatureProfile {
-        name: str_field(v, "name")?,
-        count: u64_field(v, "count")?,
-        mean: f64_field(v, "mean")?,
-        std: f64_field(v, "std")?,
-        min: f64_field(v, "min")?,
-        max: f64_field(v, "max")?,
-        log10: bool_field(v, "log10")?,
-        lo: f64_field(v, "lo")?,
-        hi: f64_field(v, "hi")?,
-        bins: u64_array_field(v, "bins")?,
+        name: v.str_field("name")?,
+        count: v.u64_field("count")?,
+        mean: v.f64_field("mean")?,
+        std: v.f64_field("std")?,
+        min: v.f64_field("min")?,
+        max: v.f64_field("max")?,
+        log10: v.bool_field("log10")?,
+        lo: v.f64_field("lo")?,
+        hi: v.f64_field("hi")?,
+        bins: v.u64_array_field("bins")?,
     })
 }
 
 fn parse_features(v: &Value, key: &str) -> Result<Vec<FeatureProfile>, String> {
-    v.get(key)
-        .and_then(Value::as_arr)
-        .ok_or_else(|| format!("missing '{key}' array"))?
+    v.array_field(key)?
         .iter()
         .map(parse_feature_profile)
         .collect()
 }
 
 fn parse_confusion(v: &Value) -> Result<Vec<Vec<u64>>, String> {
-    v.get("confusion")
-        .and_then(Value::as_arr)
-        .ok_or("missing 'confusion' array")?
+    v.array_field("confusion")?
         .iter()
         .map(|row| {
             row.as_arr()
@@ -140,11 +66,11 @@ fn parse_confusion(v: &Value) -> Result<Vec<Vec<u64>>, String> {
 pub fn parse_quality_ledger(text: &str) -> Result<QualityReport, String> {
     let mut lines = text.lines().enumerate();
     let (_, header_line) = lines.next().ok_or("empty ledger file")?;
-    let header = minijson::parse(header_line).map_err(|e| format!("line 1: {e}"))?;
-    if str_field(&header, "type")? != "ledger" {
+    let header = json::parse(header_line).map_err(|e| format!("line 1: {e}"))?;
+    if header.str_field("type")? != "ledger" {
         return Err("line 1: not a ledger header".into());
     }
-    let version = u64_field(&header, "schema_version")?;
+    let version = header.u64_field("schema_version")?;
     if version != LEDGER_SCHEMA_VERSION {
         return Err(format!(
             "unsupported ledger schema_version {version} (expected {LEDGER_SCHEMA_VERSION})"
@@ -155,25 +81,25 @@ pub fn parse_quality_ledger(text: &str) -> Result<QualityReport, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let v = minijson::parse(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
-        let event = str_field(&v, "type").map_err(|e| format!("line {}: {e}", idx + 1))?;
+        let v = json::parse(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
+        let event = v
+            .str_field("type")
+            .map_err(|e| format!("line {}: {e}", idx + 1))?;
         let parsed: Result<(), String> = (|| {
             match event.as_str() {
                 "dataset_profile" => events.push(LedgerEvent::DatasetProfile {
-                    round: u64_field(&v, "round")?,
-                    split: str_field(&v, "split")?,
-                    rows: u64_field(&v, "rows")?,
-                    class_counts: u64_array_field(&v, "class_counts")?,
+                    round: v.u64_field("round")?,
+                    split: v.str_field("split")?,
+                    rows: v.u64_field("rows")?,
+                    class_counts: v.u64_array_field("class_counts")?,
                     features: parse_features(&v, "features")?,
                 }),
                 "model_diagnostics" => events.push(LedgerEvent::ModelDiagnostics {
-                    round: u64_field(&v, "round")?,
-                    strategy: str_field(&v, "strategy")?,
-                    rows: u64_field(&v, "rows")?,
+                    round: v.u64_field("round")?,
+                    strategy: v.str_field("strategy")?,
+                    rows: v.u64_field("rows")?,
                     classes: v
-                        .get("classes")
-                        .and_then(Value::as_arr)
-                        .ok_or("missing 'classes' array")?
+                        .array_field("classes")?
                         .iter()
                         .map(|c| {
                             c.as_str()
@@ -182,11 +108,11 @@ pub fn parse_quality_ledger(text: &str) -> Result<QualityReport, String> {
                         })
                         .collect::<Result<Vec<_>, String>>()?,
                     confusion: parse_confusion(&v)?,
-                    brier: f64_field(&v, "brier")?,
-                    bin_count: u64_array_field(&v, "bin_count")?,
-                    bin_conf_sum: f64_array_field(&v, "bin_conf_sum")?,
-                    bin_hit: u64_array_field(&v, "bin_hit")?,
-                    ale_band_width: f64_field(&v, "ale_band_width")?,
+                    brier: v.f64_field("brier")?,
+                    bin_count: v.u64_array_field("bin_count")?,
+                    bin_conf_sum: v.f64_array_field("bin_conf_sum")?,
+                    bin_hit: v.u64_array_field("bin_hit")?,
+                    ale_band_width: v.f64_field("ale_band_width")?,
                 }),
                 _ => {}
             }
@@ -204,38 +130,36 @@ pub fn parse_quality_ledger(text: &str) -> Result<QualityReport, String> {
 /// Round-trips byte-for-byte:
 /// `parse_quality_json(r.render_json()).render_json() == r.render_json()`.
 pub fn parse_quality_json(text: &str) -> Result<QualityReport, String> {
-    let v = minijson::parse(text.trim_end())?;
+    let v = json::parse(text.trim_end())?;
     match v.get("active") {
         Some(Value::Bool(true)) => {}
         Some(Value::Bool(false)) => {
-            return Err("inactive document: the collector was disarmed (run with --quality-out, or point amlquality at a ledger.jsonl)".into())
+            return Err("inactive document: the collector was disarmed (run with --quality-out, or point amlview quality at a ledger.jsonl)".into())
         }
         _ => return Err("not a quality.json document (missing 'active')".into()),
     }
-    let version = u64_field(&v, "schema_version")?;
+    let version = v.u64_field("schema_version")?;
     if version > u64::from(QUALITY_SCHEMA_VERSION) {
         return Err(format!(
-            "schema_version {version} is newer than this amlquality ({QUALITY_SCHEMA_VERSION})"
+            "schema_version {version} is newer than this amlview ({QUALITY_SCHEMA_VERSION})"
         ));
     }
     let rounds = v
-        .get("rounds")
-        .and_then(Value::as_arr)
-        .ok_or("missing 'rounds' array")?
+        .array_field("rounds")?
         .iter()
         .map(|r| {
             Ok(RoundQuality {
-                round: u64_field(r, "round")?,
-                strategy: str_field(r, "strategy")?,
-                rows: u64_field(r, "rows")?,
-                accuracy: f64_field(r, "accuracy")?,
-                balanced_accuracy: f64_field(r, "balanced_accuracy")?,
-                macro_f1: f64_field(r, "macro_f1")?,
-                brier: f64_field(r, "brier")?,
-                ece: f64_field(r, "ece")?,
-                ale_band_width: f64_field(r, "ale_band_width")?,
-                psi_mean: opt_f64_field(r, "psi_mean")?,
-                psi_max: opt_f64_field(r, "psi_max")?,
+                round: r.u64_field("round")?,
+                strategy: r.str_field("strategy")?,
+                rows: r.u64_field("rows")?,
+                accuracy: r.f64_field("accuracy")?,
+                balanced_accuracy: r.f64_field("balanced_accuracy")?,
+                macro_f1: r.f64_field("macro_f1")?,
+                brier: r.f64_field("brier")?,
+                ece: r.f64_field("ece")?,
+                ale_band_width: r.f64_field("ale_band_width")?,
+                psi_mean: r.opt_f64_field("psi_mean")?,
+                psi_max: r.opt_f64_field("psi_max")?,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
@@ -243,11 +167,9 @@ pub fn parse_quality_json(text: &str) -> Result<QualityReport, String> {
         None => return Err("missing 'final' field".into()),
         Some(Value::Null) => None,
         Some(d) => Some(FinalDiagnostics {
-            round: u64_field(d, "round")?,
+            round: d.u64_field("round")?,
             classes: d
-                .get("classes")
-                .and_then(Value::as_arr)
-                .ok_or("missing 'classes' array")?
+                .array_field("classes")?
                 .iter()
                 .map(|c| {
                     c.as_str()
@@ -257,57 +179,51 @@ pub fn parse_quality_json(text: &str) -> Result<QualityReport, String> {
                 .collect::<Result<Vec<_>, String>>()?,
             confusion: parse_confusion(d)?,
             per_class: d
-                .get("per_class")
-                .and_then(Value::as_arr)
-                .ok_or("missing 'per_class' array")?
+                .array_field("per_class")?
                 .iter()
                 .map(|c| {
                     Ok(aml_telemetry::quality::ClassQuality {
-                        class: str_field(c, "class")?,
-                        support: u64_field(c, "support")?,
-                        precision: f64_field(c, "precision")?,
-                        recall: f64_field(c, "recall")?,
-                        f1: f64_field(c, "f1")?,
+                        class: c.str_field("class")?,
+                        support: c.u64_field("support")?,
+                        precision: c.f64_field("precision")?,
+                        recall: c.f64_field("recall")?,
+                        f1: c.f64_field("f1")?,
                     })
                 })
                 .collect::<Result<Vec<_>, String>>()?,
             reliability: {
                 let rel = d.get("reliability").ok_or("missing 'reliability' object")?;
                 Reliability {
-                    count: u64_array_field(rel, "count")?,
-                    confidence: f64_array_field(rel, "confidence")?,
-                    accuracy: f64_array_field(rel, "accuracy")?,
+                    count: rel.u64_array_field("count")?,
+                    confidence: rel.f64_array_field("confidence")?,
+                    accuracy: rel.f64_array_field("accuracy")?,
                 }
             },
         }),
     };
     let drift_v = v.get("drift").ok_or("missing 'drift' object")?;
     let drift = DriftReport {
-        reference: str_field(drift_v, "reference")?,
+        reference: drift_v.str_field("reference")?,
         features: drift_v
-            .get("features")
-            .and_then(Value::as_arr)
-            .ok_or("drift missing 'features' array")?
+            .array_field("features")?
             .iter()
             .map(|f| {
                 Ok(aml_telemetry::quality::FeatureDrift {
-                    name: str_field(f, "name")?,
-                    psi: opt_f64_field(f, "psi")?,
+                    name: f.str_field("name")?,
+                    psi: f.opt_f64_field("psi")?,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?,
     };
     let profiles = v
-        .get("profiles")
-        .and_then(Value::as_arr)
-        .ok_or("missing 'profiles' array")?
+        .array_field("profiles")?
         .iter()
         .map(|p| {
             Ok(SplitProfile {
-                round: u64_field(p, "round")?,
-                split: str_field(p, "split")?,
-                rows: u64_field(p, "rows")?,
-                class_counts: u64_array_field(p, "class_counts")?,
+                round: p.u64_field("round")?,
+                split: p.str_field("split")?,
+                rows: p.u64_field("rows")?,
+                class_counts: p.u64_array_field("class_counts")?,
                 features: parse_features(p, "features")?,
             })
         })
@@ -318,7 +234,7 @@ pub fn parse_quality_json(text: &str) -> Result<QualityReport, String> {
         final_diag,
         drift,
         profiles,
-        dropped: u64_field(&v, "dropped")?,
+        dropped: v.u64_field("dropped")?,
     })
 }
 
@@ -328,7 +244,7 @@ pub fn parse_quality_json(text: &str) -> Result<QualityReport, String> {
 /// first line's JSON shape.
 pub fn parse_quality_artifact(text: &str) -> Result<QualityReport, String> {
     let first = text.lines().next().unwrap_or("");
-    let looks_rendered = minijson::parse(first)
+    let looks_rendered = json::parse(first)
         .ok()
         .is_some_and(|v| v.get("active").is_some());
     if looks_rendered {
@@ -355,7 +271,7 @@ pub fn load_reference(text: &str) -> Result<QualityReference, String> {
     })
 }
 
-/// Text diff of two reports for `amlquality --compare`: the figures
+/// Text diff of two reports for `amlview quality --compare`: the figures
 /// someone checks when changing a strategy, a sampler, or the data mix.
 pub fn render_compare(a: &QualityReport, b: &QualityReport) -> String {
     let mut out = String::from("quality compare (A -> B):\n");

@@ -1,45 +1,20 @@
 //! Read-side of search telemetry: re-derive the search-observability
 //! report (coverage, rung funnels, fANOVA-lite importance) from a
 //! `ledger.jsonl`, render SVG panels for `amlreport`, and diff two
-//! reports for `amlsearch --compare`.
+//! reports for `amlview search --compare`.
 //!
 //! The heavy lifting lives in `aml_telemetry::searchview::analyze` —
 //! this module only reconstructs its inputs (the declared
 //! [`SpaceFamily`] descriptors from the once-per-run `search_space`
 //! line, one trial record per `trial_started` line settled by the
 //! matching outcome line) and reuses the identical pure analysis, so
-//! `amlsearch ledger.jsonl` reproduces `--search-out`'s `search.json`
+//! `amlview search ledger.jsonl` reproduces `--search-out`'s `search.json`
 //! byte for byte.
 
-use crate::minijson::{self, Value};
+use aml_telemetry::json::{self, Value};
 use aml_telemetry::searchview::{analyze, DimReport, FamilyReport, RungReport, TrialRec};
 use aml_telemetry::{ParamValue, SearchReport, SpaceDim, SpaceFamily, LEDGER_SCHEMA_VERSION};
 use std::fmt::Write;
-
-fn str_field(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing or non-string field '{key}'"))
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field '{key}'"))
-}
-
-/// Numeric field; a JSON `null` (the ledger encoding of a non-finite
-/// float) reads back as NaN.
-fn f64_field(v: &Value, key: &str) -> Result<f64, String> {
-    match v.get(key) {
-        Some(Value::Null) => Ok(f64::NAN),
-        Some(n) => n
-            .as_f64()
-            .ok_or_else(|| format!("non-numeric field '{key}'")),
-        None => Err(format!("missing field '{key}'")),
-    }
-}
 
 /// Re-type one rendered parameter value. The ledger writes `Int` params
 /// as bare integers and `Float` params via the shortest float form, so
@@ -69,29 +44,23 @@ fn parse_params(v: &Value) -> Vec<(String, ParamValue)> {
 }
 
 fn parse_space(v: &Value) -> Result<Vec<SpaceFamily>, String> {
-    v.get("families")
-        .and_then(Value::as_arr)
-        .ok_or("missing 'families' array")?
+    v.array_field("families")?
         .iter()
         .map(|f| {
             Ok(SpaceFamily {
-                family: str_field(f, "family")?,
+                family: f.str_field("family")?,
                 dims: f
-                    .get("dims")
-                    .and_then(Value::as_arr)
-                    .ok_or("family missing 'dims' array")?
+                    .array_field("dims")?
                     .iter()
                     .map(|d| {
                         Ok(SpaceDim {
-                            name: str_field(d, "name")?,
-                            kind: str_field(d, "kind")?,
-                            scale: str_field(d, "scale")?,
-                            lo: f64_field(d, "lo")?,
-                            hi: f64_field(d, "hi")?,
+                            name: d.str_field("name")?,
+                            kind: d.str_field("kind")?,
+                            scale: d.str_field("scale")?,
+                            lo: d.f64_field("lo")?,
+                            hi: d.f64_field("hi")?,
                             choices: d
-                                .get("choices")
-                                .and_then(Value::as_arr)
-                                .ok_or("dim missing 'choices' array")?
+                                .array_field("choices")?
                                 .iter()
                                 .map(|c| {
                                     c.as_str()
@@ -138,11 +107,11 @@ fn settle(
 pub fn parse_search_ledger(text: &str) -> Result<SearchReport, String> {
     let mut lines = text.lines().enumerate();
     let (_, header_line) = lines.next().ok_or("empty ledger file")?;
-    let header = minijson::parse(header_line).map_err(|e| format!("line 1: {e}"))?;
-    if str_field(&header, "type")? != "ledger" {
+    let header = json::parse(header_line).map_err(|e| format!("line 1: {e}"))?;
+    if header.str_field("type")? != "ledger" {
         return Err("line 1: not a ledger header".into());
     }
-    let version = u64_field(&header, "schema_version")?;
+    let version = header.u64_field("schema_version")?;
     if version != LEDGER_SCHEMA_VERSION {
         return Err(format!(
             "unsupported ledger schema_version {version} (expected {LEDGER_SCHEMA_VERSION})"
@@ -154,8 +123,10 @@ pub fn parse_search_ledger(text: &str) -> Result<SearchReport, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let v = minijson::parse(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
-        let event = str_field(&v, "type").map_err(|e| format!("line {}: {e}", idx + 1))?;
+        let v = json::parse(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
+        let event = v
+            .str_field("type")
+            .map_err(|e| format!("line {}: {e}", idx + 1))?;
         let parsed: Result<(), String> = (|| {
             match event.as_str() {
                 // First wins, like the live collector: a resumed run
@@ -164,28 +135,28 @@ pub fn parse_search_ledger(text: &str) -> Result<SearchReport, String> {
                     space = parse_space(&v)?;
                 }
                 "trial_started" => trials.push(TrialRec {
-                    trial: u64_field(&v, "trial")?,
-                    rung: u64_field(&v, "rung")?,
-                    family: str_field(&v, "family")?,
+                    trial: v.u64_field("trial")?,
+                    rung: v.u64_field("rung")?,
+                    family: v.str_field("family")?,
                     params: parse_params(&v),
                     score: None,
                     failed: None,
                 }),
                 "trial_finished" => settle(
                     &mut trials,
-                    u64_field(&v, "trial")?,
-                    u64_field(&v, "rung")?,
-                    &str_field(&v, "family")?,
-                    Some(f64_field(&v, "score")?),
+                    v.u64_field("trial")?,
+                    v.u64_field("rung")?,
+                    &v.str_field("family")?,
+                    Some(v.f64_field("score")?),
                     None,
                 ),
                 "trial_failed" => settle(
                     &mut trials,
-                    u64_field(&v, "trial")?,
-                    u64_field(&v, "rung")?,
-                    &str_field(&v, "family")?,
+                    v.u64_field("trial")?,
+                    v.u64_field("rung")?,
+                    &v.str_field("family")?,
                     None,
-                    Some(str_field(&v, "reason").unwrap_or_else(|_| "error".into())),
+                    Some(v.str_field("reason").unwrap_or_else(|_| "error".into())),
                 ),
                 _ => {}
             }
@@ -196,73 +167,55 @@ pub fn parse_search_ledger(text: &str) -> Result<SearchReport, String> {
     Ok(analyze(&space, &trials, 0))
 }
 
-/// Optional score field: JSON `null` reads back as `None`.
-fn opt_f64_field(v: &Value, key: &str) -> Result<Option<f64>, String> {
-    match v.get(key) {
-        Some(Value::Null) => Ok(None),
-        Some(n) => n
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| format!("non-numeric field '{key}'")),
-        None => Err(format!("missing field '{key}'")),
-    }
-}
-
 /// Parse a rendered `search.json` artifact back into a [`SearchReport`].
 /// Strict, like `critview`: refuses inactive documents (a `/search`
 /// probe of a disarmed collector) and foreign/newer schema versions
 /// loudly instead of guessing. Round-trips byte-for-byte:
 /// `parse_search_json(r.render_json()).render_json() == r.render_json()`.
 pub fn parse_search_json(text: &str) -> Result<SearchReport, String> {
-    let v = minijson::parse(text.trim_end())?;
+    let v = json::parse(text.trim_end())?;
     match v.get("active") {
         Some(Value::Bool(true)) => {}
         Some(Value::Bool(false)) => {
-            return Err("inactive document: the collector was disarmed (run with --search-out, or point amlsearch at a ledger.jsonl)".into())
+            return Err("inactive document: the collector was disarmed (run with --search-out, or point amlview search at a ledger.jsonl)".into())
         }
         _ => return Err("not a search.json document (missing 'active')".into()),
     }
-    let version = u64_field(&v, "schema_version")?;
+    let version = v.u64_field("schema_version")?;
     if version > u64::from(aml_telemetry::SEARCH_SCHEMA_VERSION) {
         return Err(format!(
-            "schema_version {version} is newer than this amlsearch ({})",
+            "schema_version {version} is newer than this amlview ({})",
             aml_telemetry::SEARCH_SCHEMA_VERSION
         ));
     }
     let trials = v.get("trials").ok_or("missing 'trials' object")?;
     let rungs = v
-        .get("rungs")
-        .and_then(Value::as_arr)
-        .ok_or("missing 'rungs' array")?
+        .array_field("rungs")?
         .iter()
         .map(|r| {
             Ok(RungReport {
-                rung: u64_field(r, "rung")?,
-                started: u64_field(r, "started")?,
-                finished: u64_field(r, "finished")?,
-                failed: u64_field(r, "failed")?,
-                promoted: u64_field(r, "promoted")?,
-                eliminated: u64_field(r, "eliminated")?,
+                rung: r.u64_field("rung")?,
+                started: r.u64_field("started")?,
+                finished: r.u64_field("finished")?,
+                failed: r.u64_field("failed")?,
+                promoted: r.u64_field("promoted")?,
+                eliminated: r.u64_field("eliminated")?,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
     let families = v
-        .get("families")
-        .and_then(Value::as_arr)
-        .ok_or("missing 'families' array")?
+        .array_field("families")?
         .iter()
         .map(|f| {
             Ok(FamilyReport {
-                family: str_field(f, "family")?,
-                configs: u64_field(f, "configs")?,
-                fits: u64_field(f, "fits")?,
-                failed: u64_field(f, "failed")?,
-                best_score: opt_f64_field(f, "best_score")?,
-                mean_score: opt_f64_field(f, "mean_score")?,
+                family: f.str_field("family")?,
+                configs: f.u64_field("configs")?,
+                fits: f.u64_field("fits")?,
+                failed: f.u64_field("failed")?,
+                best_score: f.opt_f64_field("best_score")?,
+                mean_score: f.opt_f64_field("mean_score")?,
                 dims: f
-                    .get("dims")
-                    .and_then(Value::as_arr)
-                    .ok_or("family missing 'dims' array")?
+                    .array_field("dims")?
                     .iter()
                     .map(parse_dim_report)
                     .collect::<Result<Vec<_>, String>>()?,
@@ -270,26 +223,24 @@ pub fn parse_search_json(text: &str) -> Result<SearchReport, String> {
         })
         .collect::<Result<Vec<_>, String>>()?;
     Ok(SearchReport {
-        started: u64_field(trials, "started")?,
-        finished: u64_field(trials, "finished")?,
-        failed: u64_field(trials, "failed")?,
+        started: trials.u64_field("started")?,
+        finished: trials.u64_field("finished")?,
+        failed: trials.u64_field("failed")?,
         rungs,
         families,
-        dropped: u64_field(&v, "dropped")?,
+        dropped: v.u64_field("dropped")?,
     })
 }
 
 fn parse_dim_report(d: &Value) -> Result<DimReport, String> {
     Ok(DimReport {
-        name: str_field(d, "name")?,
-        kind: str_field(d, "kind")?,
-        scale: str_field(d, "scale")?,
-        lo: f64_field(d, "lo")?,
-        hi: f64_field(d, "hi")?,
+        name: d.str_field("name")?,
+        kind: d.str_field("kind")?,
+        scale: d.str_field("scale")?,
+        lo: d.f64_field("lo")?,
+        hi: d.f64_field("hi")?,
         choices: d
-            .get("choices")
-            .and_then(Value::as_arr)
-            .ok_or("dim missing 'choices' array")?
+            .array_field("choices")?
             .iter()
             .map(|c| {
                 c.as_str()
@@ -297,21 +248,13 @@ fn parse_dim_report(d: &Value) -> Result<DimReport, String> {
                     .ok_or_else(|| "non-string choice".to_string())
             })
             .collect::<Result<Vec<_>, String>>()?,
-        bins: u64_field(d, "bins")? as usize,
-        hist: d
-            .get("hist")
-            .and_then(Value::as_arr)
-            .ok_or("dim missing 'hist' array")?
-            .iter()
-            .map(|c| c.as_u64().ok_or_else(|| "non-integer hist count".into()))
-            .collect::<Result<Vec<_>, String>>()?,
-        visited: u64_field(d, "visited")? as usize,
-        coverage: f64_field(d, "coverage")?,
-        importance: f64_field(d, "importance")?,
+        bins: d.u64_field("bins")? as usize,
+        hist: d.u64_array_field("hist")?,
+        visited: d.u64_field("visited")? as usize,
+        coverage: d.f64_field("coverage")?,
+        importance: d.f64_field("importance")?,
         points: d
-            .get("points")
-            .and_then(Value::as_arr)
-            .ok_or("dim missing 'points' array")?
+            .array_field("points")?
             .iter()
             .map(|p| match p.as_arr() {
                 Some([t, s]) => Ok((
@@ -330,7 +273,7 @@ fn parse_dim_report(d: &Value) -> Result<DimReport, String> {
 /// first line's JSON shape.
 pub fn parse_search_artifact(text: &str) -> Result<SearchReport, String> {
     let first = text.lines().next().unwrap_or("");
-    let looks_rendered = minijson::parse(first)
+    let looks_rendered = json::parse(first)
         .ok()
         .is_some_and(|v| v.get("active").is_some());
     if looks_rendered {
@@ -456,7 +399,7 @@ pub fn render_dim_scatter_svg(family: &str, dim: &DimReport) -> String {
     out
 }
 
-/// Text diff of two reports for `amlsearch --compare`: the figures
+/// Text diff of two reports for `amlview search --compare`: the figures
 /// someone checks when changing the sampler or the search budget.
 pub fn render_compare(a: &SearchReport, b: &SearchReport) -> String {
     let mut out = String::from("search compare (A -> B):\n");
@@ -708,7 +651,7 @@ mod tests {
 
     #[test]
     fn param_values_re_type_from_their_rendering() {
-        let v = minijson::parse("{\"a\":3,\"b\":0.05,\"c\":\"gini\"}").unwrap();
+        let v = json::parse("{\"a\":3,\"b\":0.05,\"c\":\"gini\"}").unwrap();
         let obj = v.as_obj().unwrap();
         assert_eq!(param_value(&obj[0].1), ParamValue::Int(3));
         assert_eq!(param_value(&obj[1].1), ParamValue::Float(0.05));

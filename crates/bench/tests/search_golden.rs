@@ -3,7 +3,7 @@
 //! * a full `RunOpts` round trip with `--search-out`, `--ledger-out`,
 //!   and `--serve` answers `/search` mid-run (active, versioned schema)
 //!   and leaves a `search.json` behind whose bytes are exactly what
-//!   `amlsearch` recomputes from the ledger — the write path and the
+//!   `amlview search` recomputes from the ledger — the write path and the
 //!   read path are held to the same pinned renderer;
 //! * `search.json` is byte-identical whether the search trains
 //!   candidates on 1 worker or 4 — the same determinism contract as the
@@ -113,7 +113,7 @@ fn search_out_round_trips_and_search_route_answers_mid_run() {
     opts.finish();
     assert!(!searchview::active(), "finish must disarm the collector");
 
-    // The artifact's bytes are exactly what `amlsearch --json` recomputes
+    // The artifact's bytes are exactly what `amlview search --json` recomputes
     // from the ledger: write path and read path share one renderer.
     let json = std::fs::read_to_string(&search_path).expect("search.json written");
     let ledger_text = std::fs::read_to_string(&ledger_path).expect("ledger.jsonl written");

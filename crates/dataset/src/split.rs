@@ -132,62 +132,6 @@ pub fn split_into_k(ds: &Dataset, k: usize, seed: u64) -> Result<Vec<Dataset>> {
     Ok(out)
 }
 
-/// K-fold cross-validation index generator (used by AutoML's validation).
-#[derive(Debug, Clone)]
-pub struct KFold {
-    folds: Vec<Vec<usize>>,
-}
-
-impl KFold {
-    /// Build `k` shuffled folds over `n` samples.
-    ///
-    /// # Errors
-    /// `k < 2` or `k > n`.
-    pub fn new(n: usize, k: usize, seed: u64) -> Result<Self> {
-        if k < 2 || k > n {
-            return Err(DataError::IndexOutOfBounds {
-                index: k,
-                bound: n + 1,
-            });
-        }
-        let idx = shuffled_indices(n, seed);
-        let base = n / k;
-        let extra = n % k;
-        let mut folds = Vec::with_capacity(k);
-        let mut start = 0;
-        for f in 0..k {
-            let len = base + usize::from(f < extra);
-            folds.push(idx[start..start + len].to_vec());
-            start += len;
-        }
-        Ok(KFold { folds })
-    }
-
-    /// Number of folds.
-    pub fn k(&self) -> usize {
-        self.folds.len()
-    }
-
-    /// `(train_indices, validation_indices)` for fold `f`.
-    pub fn fold(&self, f: usize) -> Result<(Vec<usize>, Vec<usize>)> {
-        if f >= self.folds.len() {
-            return Err(DataError::IndexOutOfBounds {
-                index: f,
-                bound: self.folds.len(),
-            });
-        }
-        let val = self.folds[f].clone();
-        let train = self
-            .folds
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != f)
-            .flat_map(|(_, fold)| fold.iter().copied())
-            .collect();
-        Ok((train, val))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,29 +198,6 @@ mod tests {
         let min = *sizes.iter().min().unwrap();
         let max = *sizes.iter().max().unwrap();
         assert!(max - min <= 1, "sizes must be balanced: {sizes:?}");
-    }
-
-    #[test]
-    fn kfold_covers_everything_once() {
-        let kf = KFold::new(25, 4, 17).unwrap();
-        let mut seen = [0usize; 25];
-        for f in 0..kf.k() {
-            let (train, val) = kf.fold(f).unwrap();
-            assert_eq!(train.len() + val.len(), 25);
-            for &i in &val {
-                seen[i] += 1;
-            }
-        }
-        assert!(
-            seen.iter().all(|&c| c == 1),
-            "each index in exactly one fold"
-        );
-    }
-
-    #[test]
-    fn kfold_rejects_degenerate_k() {
-        assert!(KFold::new(10, 1, 0).is_err());
-        assert!(KFold::new(10, 11, 0).is_err());
     }
 }
 

@@ -5,7 +5,7 @@
 //!
 //! * [`ale`] — first-order **Accumulated Local Effects** (Apley & Zhu), the
 //!   interpretation method the paper uses ("we use ALE in this work");
-//! * [`pdp`] — partial dependence and ICE curves (alternative methods the
+//! * [`pdp`] — partial dependence curves (an alternative method the
 //!   paper's §3 alludes to with "and other model-agnostic interpretation
 //!   methods");
 //! * [`variance`] — the cross-model ALE mean/std bands of Figures 1 and 2:
@@ -14,12 +14,7 @@
 //!   the threshold 𝒯, represented as the paper's union of half-space systems
 //!   `∪ᵢ Aᵢx ≤ bᵢ` (e.g. `x ≤ 45 ∪ x ≥ 99`);
 //! * [`plot`] — CSV / ASCII / SVG rendering of mean±std ALE bands (the
-//!   "average ALE plots (along with error-bars)" returned to the user);
-//! * [`importance`] — permutation feature importance, the triage companion
-//!   to the ALE bands (rely-on-it vs confused-about-it);
-//! * [`ale2`] — second-order ALE surfaces for interaction detection (the
-//!   firewall's `dst_port × pkts_sent` rate-limit rule is exactly such an
-//!   interaction).
+//!   "average ALE plots (along with error-bars)" returned to the user).
 //!
 //! ## Example
 //!
@@ -36,18 +31,14 @@
 //! ```
 
 pub mod ale;
-pub mod ale2;
 pub mod grid;
-pub mod importance;
 pub mod pdp;
 pub mod plot;
 pub mod region;
 pub mod variance;
 
 pub use ale::{ale_curve, AleConfig, AleCurve};
-pub use ale2::{ale_surface, rank_interactions, AleSurface};
 pub use grid::Grid;
-pub use importance::{permutation_importance, FeatureImportance};
 pub use region::{FeatureRegions, HalfspaceSystem, Interval};
 pub use variance::{ale_band, AleBand};
 

@@ -1,4 +1,4 @@
-//! Feature preprocessing: standardization and min-max scaling.
+//! Feature preprocessing: standardization.
 //!
 //! Distance- and gradient-based models (kNN, logistic regression, linear
 //! SVM) need comparable feature scales; tree models do not. The AutoML
@@ -83,52 +83,6 @@ impl Transformer for Standardizer {
     }
 }
 
-/// Min-max scaling to `[0, 1]`; constant columns map to 0.5.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MinMaxScaler {
-    mins: Vec<f64>,
-    ranges: Vec<f64>,
-}
-
-impl MinMaxScaler {
-    /// Fit per-column min and range on `ds`.
-    pub fn fit(ds: &Dataset) -> Result<Self> {
-        if ds.is_empty() {
-            return Err(ModelError::EmptyTrainingSet);
-        }
-        let d = ds.n_features();
-        let mut mins = vec![f64::INFINITY; d];
-        let mut maxs = vec![f64::NEG_INFINITY; d];
-        for i in 0..ds.n_rows() {
-            for (j, &v) in ds.row(i).iter().enumerate() {
-                mins[j] = mins[j].min(v);
-                maxs[j] = maxs[j].max(v);
-            }
-        }
-        let ranges = mins.iter().zip(&maxs).map(|(lo, hi)| hi - lo).collect();
-        Ok(MinMaxScaler { mins, ranges })
-    }
-}
-
-impl Transformer for MinMaxScaler {
-    fn transform_row(&self, row: &mut [f64]) -> Result<()> {
-        if row.len() != self.mins.len() {
-            return Err(ModelError::DimensionMismatch {
-                expected: self.mins.len(),
-                got: row.len(),
-            });
-        }
-        for (j, v) in row.iter_mut().enumerate() {
-            *v = if self.ranges[j] > 0.0 {
-                (*v - self.mins[j]) / self.ranges[j]
-            } else {
-                0.5
-            };
-        }
-        Ok(())
-    }
-}
-
 /// Which scaler (if any) a pipeline applies before its model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScalerKind {
@@ -136,8 +90,6 @@ pub enum ScalerKind {
     None,
     /// [`Standardizer`].
     Standard,
-    /// [`MinMaxScaler`].
-    MinMax,
 }
 
 /// A fitted scaler matching [`ScalerKind`].
@@ -147,8 +99,6 @@ pub enum FittedScaler {
     None,
     /// Fitted standardizer.
     Standard(Standardizer),
-    /// Fitted min-max scaler.
-    MinMax(MinMaxScaler),
 }
 
 impl FittedScaler {
@@ -157,7 +107,6 @@ impl FittedScaler {
         Ok(match kind {
             ScalerKind::None => FittedScaler::None,
             ScalerKind::Standard => FittedScaler::Standard(Standardizer::fit(ds)?),
-            ScalerKind::MinMax => FittedScaler::MinMax(MinMaxScaler::fit(ds)?),
         })
     }
 }
@@ -167,7 +116,6 @@ impl Transformer for FittedScaler {
         match self {
             FittedScaler::None => Ok(()),
             FittedScaler::Standard(s) => s.transform_row(row),
-            FittedScaler::MinMax(s) => s.transform_row(row),
         }
     }
 }
@@ -210,17 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn minmax_maps_to_unit_interval() {
-        let s = MinMaxScaler::fit(&ds()).unwrap();
-        let t = s.transform(&ds()).unwrap();
-        let col = t.column(0).unwrap();
-        assert_eq!(col[0], 0.0);
-        assert_eq!(col[3], 1.0);
-        // Constant column → 0.5.
-        assert!(t.column(1).unwrap().iter().all(|&v| v == 0.5));
-    }
-
-    #[test]
     fn transform_checks_dimensions() {
         let s = Standardizer::fit(&ds()).unwrap();
         let mut bad = vec![1.0];
@@ -239,6 +176,5 @@ mod tests {
     fn empty_fit_rejected() {
         let empty = ds().empty_like();
         assert!(Standardizer::fit(&empty).is_err());
-        assert!(MinMaxScaler::fit(&empty).is_err());
     }
 }

@@ -130,15 +130,6 @@ pub fn run_protocol_with_queue(
     })
 }
 
-/// Run one protocol on one condition (latent buffer drawn from `seed`).
-pub fn run_protocol(
-    protocol: CcKind,
-    condition: NetworkCondition,
-    seed: u64,
-) -> Result<ProtocolResult> {
-    run_protocol_with_queue(protocol, condition, latent_queue_mult(seed), seed)
-}
-
 /// The simulation seed of `protocol` in measurement campaign `seed`:
 /// derived from its index in [`CcKind::ALL`], so loss patterns do not
 /// depend on which other protocols are simulated.

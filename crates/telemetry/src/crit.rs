@@ -27,8 +27,9 @@
 //! cost-attribution story. Rendered two ways: [`CritReport::render_json`]
 //! (hand-rolled, field order pinned by a golden test; written by
 //! `--crit-out` and served at `/crit`) and [`CritReport::render_table`]
-//! (the human summary `amlcrit` and the run footer print).
+//! (the human summary `amlview crit` and the run footer print).
 
+use crate::json::{number, Precision::Fixed};
 use crate::registry::Snapshot;
 use crate::tracetree::{Node, SpanId};
 use std::collections::HashMap;
@@ -303,14 +304,6 @@ pub fn analyze_with_drops(nodes: &[Node], snapshot: &Snapshot, dropped: u64) -> 
     }
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
 impl CritReport {
     /// Render as one JSON line (plus trailing newline). Field order and
     /// formatting are pinned by a golden test; `/crit` serves exactly
@@ -326,7 +319,7 @@ impl CritReport {
                 let ratio = if self.wall_ns == 0 {
                     "null".to_string()
                 } else {
-                    json_f64(cpu as f64 / self.wall_ns as f64)
+                    number(cpu as f64 / self.wall_ns as f64, Fixed(6))
                 };
                 out.push_str(&format!(",\"cpu_wall_ratio\":{ratio}"));
             }
@@ -385,13 +378,13 @@ impl CritReport {
             p.total_ns,
             p.work_ns,
             p.ideal_ns,
-            json_f64(p.serial_fraction),
-            json_f64(p.max_speedup),
+            number(p.serial_fraction, Fixed(6)),
+            number(p.max_speedup, Fixed(6)),
             p.subtree_spans,
         )
     }
 
-    /// The human-readable summary `amlcrit` prints and `--crit-out`
+    /// The human-readable summary `amlview crit` prints and `--crit-out`
     /// appends to the run footer on stderr.
     pub fn render_table(&self) -> String {
         let mut out = String::from("critical path (causal trace tree):\n");

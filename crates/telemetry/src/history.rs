@@ -35,6 +35,7 @@
 //! versions. Nothing in this module runs unless `--record` is given —
 //! no thread, no allocation, no file handle.
 
+use crate::json::{number, Precision::Shortest};
 use std::io::Write;
 use std::path::Path;
 
@@ -82,16 +83,6 @@ pub struct HistoryRecord {
     pub ece: Option<f64>,
 }
 
-/// Shortest round-trip float; non-finite values become `null` (the
-/// ledger's convention).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 impl HistoryRecord {
     /// Serialize as one JSON line (no trailing newline) with fixed field
     /// order, pinned by the golden test in `aml-bench`.
@@ -102,15 +93,15 @@ impl HistoryRecord {
             self.seed,
             crate::json_string_literal(&self.git),
             crate::json_string_literal(&self.source),
-            json_f64(self.wall_time_s),
-            json_f64(self.top_span_total_s),
+            number(self.wall_time_s, Shortest),
+            number(self.top_span_total_s, Shortest),
             self.peak_rss_bytes,
             self.alloc_peak_bytes,
-            self.final_acc.map_or("null".to_string(), json_f64),
+            number(self.final_acc.unwrap_or(f64::NAN), Shortest),
             self.trials_finished,
             self.trials_failed,
             self.rounds,
-            self.ece.map_or("null".to_string(), json_f64),
+            number(self.ece.unwrap_or(f64::NAN), Shortest),
         )
     }
 

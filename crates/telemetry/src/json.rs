@@ -1,20 +1,28 @@
-//! A minimal JSON reader *and writer* for the harness's own artifacts.
+//! The workspace's one JSON codec: a small strict reader and writer for
+//! its own artifacts.
 //!
-//! `perfgate --compare` must parse `BENCH_*.json` files, and the golden
-//! tests validate `trace.json` / `events.jsonl` structurally. The files
-//! are written by this workspace (manifest-style hand-rolled JSON), so a
-//! small strict recursive-descent parser is enough — and it keeps the
-//! read path as dependency-light as the write path, mirroring
-//! `aml-telemetry`'s hand-rolled serializer.
+//! Every artifact (manifest, ledger, history, crit/search/quality
+//! reports, BENCH files, score tables) is rendered by hand with a pinned
+//! field order, so one recursive-descent parser reads them all back. The
+//! writer pieces every renderer shares live here too:
 //!
-//! The write side ([`Value::render`] and the [`ToJson`] trait) backs
-//! [`crate::write_json`]: benchmark binaries convert their result rows
-//! into a [`Value`] tree and get pretty-printed JSON that this module's
-//! own parser round-trips.
+//! * [`string_literal`] — the one string escaper (re-exported as
+//!   `aml_telemetry::json_string_literal`);
+//! * [`number`] — the one `f64` formatter: shortest round-trip or a
+//!   fixed number of decimals ([`Precision`]), `null` when non-finite
+//!   (JSON has no NaN/Infinity);
+//! * `u64_array` / `f64_array` — compact array writers;
+//! * the `*_field` readers on [`Value`] — typed member access with one
+//!   error wording, where `null` reads back as NaN (or `None`), the
+//!   inverse of [`number`].
 //!
-//! Objects preserve key order (they're backed by a `Vec`), numbers are
-//! `f64`, and the full escape set of the workspace's writers
-//! (`\" \\ \n \r \t \uXXXX`) plus `\/ \b \f` is accepted.
+//! [`Value::render`] and the [`ToJson`] trait pretty-print a value tree
+//! that [`parse`] round-trips. Objects preserve key order (they're backed
+//! by a `Vec`), numbers are `f64`, and the full escape set of
+//! [`string_literal`] (`\" \\ \n \r \t \uXXXX`) plus `\/ \b \f` is
+//! accepted.
+
+use std::fmt::Write;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,6 +88,83 @@ impl Value {
             Value::Obj(members) => Some(members),
             _ => None,
         }
+    }
+
+    /// The number in this value, with `null` (how [`number`] writes a
+    /// non-finite float) read back as NaN.
+    pub fn as_f64_or_nan(&self) -> Option<f64> {
+        match self {
+            Value::Null => Some(f64::NAN),
+            other => other.as_f64(),
+        }
+    }
+
+    /// String member `key` of this object.
+    pub fn str_field(&self, key: &str) -> Result<String, String> {
+        self.get(key)
+            .and_then(Value::as_str)
+            .map(str::to_string)
+            .ok_or_else(|| format!("missing or non-string field '{key}'"))
+    }
+
+    /// Non-negative integer member `key` of this object.
+    pub fn u64_field(&self, key: &str) -> Result<u64, String> {
+        self.get(key)
+            .and_then(Value::as_u64)
+            .ok_or_else(|| format!("missing or non-integer field '{key}'"))
+    }
+
+    /// Boolean member `key` of this object.
+    pub fn bool_field(&self, key: &str) -> Result<bool, String> {
+        match self.get(key) {
+            Some(Value::Bool(b)) => Ok(*b),
+            _ => Err(format!("missing or non-boolean field '{key}'")),
+        }
+    }
+
+    /// Numeric member `key` of this object; `null` reads back as NaN.
+    pub fn f64_field(&self, key: &str) -> Result<f64, String> {
+        self.get(key)
+            .ok_or_else(|| format!("missing field '{key}'"))?
+            .as_f64_or_nan()
+            .ok_or_else(|| format!("non-numeric field '{key}'"))
+    }
+
+    /// Optional numeric member `key` of this object; `null` reads back
+    /// as `None`.
+    pub fn opt_f64_field(&self, key: &str) -> Result<Option<f64>, String> {
+        let v = self.f64_field(key)?;
+        Ok((!v.is_nan()).then_some(v))
+    }
+
+    /// Array member `key` of this object.
+    pub fn array_field(&self, key: &str) -> Result<&[Value], String> {
+        self.get(key)
+            .and_then(Value::as_arr)
+            .ok_or_else(|| format!("missing or non-array field '{key}'"))
+    }
+
+    /// Array-of-integers member `key` of this object.
+    pub fn u64_array_field(&self, key: &str) -> Result<Vec<u64>, String> {
+        self.array_field(key)?
+            .iter()
+            .map(|v| {
+                v.as_u64()
+                    .ok_or_else(|| format!("non-integer entry in '{key}'"))
+            })
+            .collect()
+    }
+
+    /// Array-of-numbers member `key` of this object; `null` entries read
+    /// back as NaN.
+    pub fn f64_array_field(&self, key: &str) -> Result<Vec<f64>, String> {
+        self.array_field(key)?
+            .iter()
+            .map(|v| {
+                v.as_f64_or_nan()
+                    .ok_or_else(|| format!("non-numeric entry in '{key}'"))
+            })
+            .collect()
     }
 }
 
@@ -276,13 +361,81 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
+/// JSON string literal with the mandatory escapes: `"`, `\\`, and every
+/// control character (`\n`, `\r`, `\t` by name, the rest as `\u00XX`).
+pub fn string_literal(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// How [`number`] prints a finite `f64`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Precision {
+    /// Shortest round-trip form (`Display`), deterministic across
+    /// platforms and read back bit for bit by [`parse`].
+    Shortest,
+    /// Exactly this many decimals.
+    Fixed(usize),
+}
+
+/// An `f64` as a JSON number; non-finite values become `null`, which the
+/// `*_field` readers on [`Value`] turn back into NaN.
+pub fn number(v: f64, precision: Precision) -> String {
+    match precision {
+        _ if !v.is_finite() => "null".to_string(),
+        Precision::Shortest => format!("{v}"),
+        Precision::Fixed(decimals) => format!("{v:.decimals$}"),
+    }
+}
+
+/// Compact JSON array of integers: `[1,2,3]`.
+pub(crate) fn u64_array(vs: &[u64]) -> String {
+    let mut out = String::with_capacity(2 + vs.len() * 4);
+    out.push('[');
+    for (i, v) in vs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{v}");
+    }
+    out.push(']');
+    out
+}
+
+/// Compact JSON array of numbers, each printed by [`number`].
+pub(crate) fn f64_array(vs: &[f64], precision: Precision) -> String {
+    let mut out = String::with_capacity(2 + vs.len() * 8);
+    out.push('[');
+    for (i, v) in vs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&number(*v, precision));
+    }
+    out.push(']');
+    out
+}
+
 impl Value {
     /// Pretty-print with 2-space indentation.
     ///
-    /// Numbers use Rust's shortest-roundtrip `f64` formatting, so a
-    /// render → [`parse`] → render cycle is a fixpoint; strings use the
-    /// same escape set the parser accepts (shared with the telemetry
-    /// manifest writer).
+    /// Numbers use [`Precision::Shortest`], so a render → [`parse`] →
+    /// render cycle is a fixpoint; strings use [`string_literal`].
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.render_into(&mut out, 0);
@@ -293,16 +446,8 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Num(n) => {
-                if n.is_finite() {
-                    let s = format!("{n}");
-                    out.push_str(&s);
-                } else {
-                    // JSON has no NaN/Infinity.
-                    out.push_str("null");
-                }
-            }
-            Value::Str(s) => out.push_str(&aml_telemetry::json_string_literal(s)),
+            Value::Num(n) => out.push_str(&number(*n, Precision::Shortest)),
+            Value::Str(s) => out.push_str(&string_literal(s)),
             Value::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -333,7 +478,7 @@ impl Value {
                     }
                     out.push('\n');
                     out.push_str(&"  ".repeat(indent + 1));
-                    out.push_str(&aml_telemetry::json_string_literal(k));
+                    out.push_str(&string_literal(k));
                     out.push_str(": ");
                     v.render_into(out, indent + 1);
                 }
@@ -346,11 +491,8 @@ impl Value {
 }
 
 /// Conversion into a [`Value`] — the write-side counterpart of the
-/// parser, used by [`crate::write_json`] for data artifacts
-/// (score tables, ALE bands, sweep rows).
-///
-/// The trait lives here (not in a shared crate) so benchmark binaries
-/// can implement it for foreign types like `aml_interpret::AleBand`.
+/// parser, used by `aml-bench`'s `write_json` for data artifacts (score
+/// tables, ALE bands, sweep rows).
 pub trait ToJson {
     /// The JSON form of `self`.
     fn to_json(&self) -> Value;
@@ -420,6 +562,13 @@ impl<T: ToJson> ToJson for std::collections::BTreeMap<String, T> {
 mod tests {
     use super::*;
 
+    /// Every precision the workspace's artifacts are written with.
+    const PRECISIONS: [Precision; 3] = [
+        Precision::Shortest,
+        Precision::Fixed(3),
+        Precision::Fixed(6),
+    ];
+
     #[test]
     fn render_parse_is_a_fixpoint() {
         let v = Value::Obj(vec![
@@ -440,12 +589,55 @@ mod tests {
         let reparsed = parse(&rendered).expect("own writer parses");
         assert_eq!(reparsed, v);
         assert_eq!(reparsed.render(), rendered);
+
+        // Each precision: number → parse → number, and the array writers,
+        // reproduce their own text.
+        let xs = [0.25, 1.0, 2.0, -0.000125, 1234.5678901, 1e-7, 0.1 + 0.2];
+        for precision in PRECISIONS {
+            for x in xs {
+                let text = number(x, precision);
+                let back = parse(&text).unwrap().as_f64().unwrap();
+                assert_eq!(number(back, precision), text, "{precision:?} {x}");
+            }
+            let arr = f64_array(&xs, precision);
+            let obj = parse(&format!("{{\"xs\":{arr}}}")).unwrap();
+            assert_eq!(
+                f64_array(&obj.f64_array_field("xs").unwrap(), precision),
+                arr
+            );
+        }
+        // Shortest is exact; fixed rounds to its decimals.
+        assert_eq!(number(0.25, Precision::Shortest), "0.25");
+        assert_eq!(number(1.0, Precision::Shortest), "1");
+        assert_eq!(number(2.0 / 3.0, Precision::Fixed(3)), "0.667");
+        assert_eq!(number(1.5, Precision::Fixed(6)), "1.500000");
+        assert_eq!(f64_array(&[0.5, 2.0], Precision::Shortest), "[0.5,2]");
+        let counts = u64_array(&[0, 7, u64::from(u32::MAX)]);
+        assert_eq!(counts, "[0,7,4294967295]");
+        let obj = parse(&format!("{{\"n\":{counts}}}")).unwrap();
+        assert_eq!(u64_array(&obj.u64_array_field("n").unwrap()), counts);
     }
 
     #[test]
     fn render_emits_null_for_non_finite() {
         assert_eq!(Value::Num(f64::NAN).render(), "null");
         assert_eq!(Value::Num(f64::INFINITY).render(), "null");
+        for precision in PRECISIONS {
+            for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                assert_eq!(number(x, precision), "null", "{precision:?} {x}");
+            }
+            let arr = f64_array(&[1.0, f64::NAN], precision);
+            assert!(arr.ends_with(",null]"), "{arr}");
+            // ...and the readers turn `null` back into NaN / None.
+            let obj = parse(&format!(
+                "{{\"x\":{},\"xs\":{arr}}}",
+                number(f64::NAN, precision)
+            ))
+            .unwrap();
+            assert!(obj.f64_field("x").unwrap().is_nan());
+            assert_eq!(obj.opt_f64_field("x").unwrap(), None);
+            assert!(obj.f64_array_field("xs").unwrap()[1].is_nan());
+        }
     }
 
     #[test]
@@ -491,6 +683,18 @@ mod tests {
     fn unescapes_strings() {
         let v = parse(r#""a\"b\\c\nd\u0041""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\ndA"));
+        // Every control character, the quote and the backslash survive the
+        // one escaper and the parser.
+        let all: String = (0u8..0x20)
+            .map(char::from)
+            .chain(['"', '\\', 'é'])
+            .collect();
+        let literal = string_literal(&all);
+        assert!(
+            !literal[1..literal.len() - 1].bytes().any(|b| b < 0x20),
+            "{literal}"
+        );
+        assert_eq!(parse(&literal).unwrap().as_str(), Some(all.as_str()));
     }
 
     #[test]
@@ -513,7 +717,7 @@ mod tests {
     fn round_trips_the_manifest_writer() {
         // The telemetry manifest is the most complex document our writers
         // produce; it must parse cleanly.
-        let manifest = aml_telemetry::Manifest {
+        let manifest = crate::Manifest {
             binary: "weird\"name\\x".into(),
             seed: 7,
             scale: 0.05,
@@ -521,7 +725,7 @@ mod tests {
             git: "abc".into(),
             telemetry: "summary".into(),
             wall_time_s: 1.5,
-            snapshot: aml_telemetry::Snapshot::default(),
+            snapshot: crate::Snapshot::default(),
         };
         let v = parse(&manifest.to_json()).unwrap();
         assert_eq!(v.get("seed").unwrap().as_u64(), Some(7));

@@ -34,8 +34,9 @@
 //! backward compatible and does not bump the version. The golden test in
 //! `aml-bench` pins every line shape.
 
+use crate::json::{f64_array, number, string_literal, u64_array, Precision::Shortest};
 use crate::registry::Snapshot;
-use crate::sink::{json_str, RunHeader, Sink, SpanEvent};
+use crate::sink::{RunHeader, Sink, SpanEvent};
 use std::fmt::Write as _;
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -64,8 +65,8 @@ impl ParamValue {
     pub(crate) fn to_json(&self) -> String {
         match self {
             ParamValue::Int(v) => format!("{v}"),
-            ParamValue::Float(v) => json_f64(*v),
-            ParamValue::Cat(tag) => json_str(tag),
+            ParamValue::Float(v) => number(*v, Shortest),
+            ParamValue::Cat(tag) => string_literal(tag),
         }
     }
 }
@@ -271,43 +272,6 @@ pub enum LedgerEvent {
     },
 }
 
-/// Format an `f64` for the ledger: shortest round-trip representation
-/// (`Display`), which is deterministic across platforms; non-finite
-/// values become `null`.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_u64_array(vs: &[u64]) -> String {
-    let mut out = String::with_capacity(2 + vs.len() * 4);
-    out.push('[');
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
-    out
-}
-
-fn json_f64_array(vs: &[f64]) -> String {
-    let mut out = String::with_capacity(2 + vs.len() * 8);
-    out.push('[');
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_f64(*v));
-    }
-    out.push(']');
-    out
-}
-
 impl LedgerEvent {
     /// Serialize as one JSON line (no trailing newline) with fixed field
     /// order. Pinned by the `ledger_golden` test in `aml-bench`.
@@ -322,14 +286,14 @@ impl LedgerEvent {
             } => {
                 let mut out = format!(
                     "{{\"type\":\"trial_started\",\"trial\":{trial},\"rung\":{rung},\"family\":{},\"config\":{},\"params\":{{",
-                    json_str(family),
-                    json_str(config),
+                    string_literal(family),
+                    string_literal(config),
                 );
                 for (i, (name, value)) in params.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    let _ = write!(out, "{}:{}", json_str(name), value.to_json());
+                    let _ = write!(out, "{}:{}", string_literal(name), value.to_json());
                 }
                 out.push_str("}}");
                 out
@@ -341,8 +305,8 @@ impl LedgerEvent {
                 score,
             } => format!(
                 "{{\"type\":\"trial_finished\",\"trial\":{trial},\"rung\":{rung},\"family\":{},\"score\":{}}}",
-                json_str(family),
-                json_f64(*score),
+                string_literal(family),
+                number(*score, Shortest),
             ),
             LedgerEvent::TrialFailed {
                 trial,
@@ -351,13 +315,13 @@ impl LedgerEvent {
                 reason,
             } => format!(
                 "{{\"type\":\"trial_failed\",\"trial\":{trial},\"rung\":{rung},\"family\":{},\"reason\":{}}}",
-                json_str(family),
-                json_str(reason),
+                string_literal(family),
+                string_literal(reason),
             ),
             LedgerEvent::EnsembleSelected { val_score, members } => {
                 let mut out = format!(
                     "{{\"type\":\"ensemble_selected\",\"val_score\":{},\"members\":[",
-                    json_f64(*val_score)
+                    number(*val_score, Shortest)
                 );
                 for (i, m) in members.iter().enumerate() {
                     if i > 0 {
@@ -367,9 +331,9 @@ impl LedgerEvent {
                         out,
                         "{{\"trial\":{},\"family\":{},\"weight\":{},\"score\":{}}}",
                         m.trial,
-                        json_str(&m.family),
-                        json_f64(m.weight),
-                        json_f64(m.score),
+                        string_literal(&m.family),
+                        number(m.weight, Shortest),
+                        number(m.score, Shortest),
                     );
                 }
                 out.push_str("]}");
@@ -387,12 +351,12 @@ impl LedgerEvent {
                 ale_std_max,
             } => format!(
                 "{{\"type\":\"round_completed\",\"round\":{round},\"strategy\":{},\"acc_mean\":{},\"acc_min\":{},\"acc_max\":{},\"points_added\":{points_added},\"regions\":{regions},\"ale_std_mean\":{},\"ale_std_max\":{}}}",
-                json_str(strategy),
-                json_f64(*acc_mean),
-                json_f64(*acc_min),
-                json_f64(*acc_max),
-                json_f64(*ale_std_mean),
-                json_f64(*ale_std_max),
+                string_literal(strategy),
+                number(*acc_mean, Shortest),
+                number(*acc_min, Shortest),
+                number(*acc_max, Shortest),
+                number(*ale_std_mean, Shortest),
+                number(*ale_std_max, Shortest),
             ),
             LedgerEvent::RegionSuggested {
                 feature,
@@ -408,16 +372,16 @@ impl LedgerEvent {
                     if i > 0 {
                         ivals.push(',');
                     }
-                    let _ = write!(ivals, "[{},{}]", json_f64(*lo), json_f64(*hi));
+                    let _ = write!(ivals, "[{},{}]", number(*lo, Shortest), number(*hi, Shortest));
                 }
                 ivals.push(']');
                 format!(
                     "{{\"type\":\"region_suggested\",\"feature\":{feature},\"name\":{},\"threshold\":{},\"intervals\":{ivals},\"grid\":{},\"mean\":{},\"std\":{}}}",
-                    json_str(name),
-                    json_f64(*threshold),
-                    json_f64_array(grid),
-                    json_f64_array(mean),
-                    json_f64_array(std),
+                    string_literal(name),
+                    number(*threshold, Shortest),
+                    f64_array(grid, Shortest),
+                    f64_array(mean, Shortest),
+                    f64_array(std, Shortest),
                 )
             }
             LedgerEvent::SearchSpace { families } => {
@@ -426,7 +390,7 @@ impl LedgerEvent {
                     if i > 0 {
                         out.push(',');
                     }
-                    let _ = write!(out, "{{\"family\":{},\"dims\":[", json_str(&fam.family));
+                    let _ = write!(out, "{{\"family\":{},\"dims\":[", string_literal(&fam.family));
                     for (j, d) in fam.dims.iter().enumerate() {
                         if j > 0 {
                             out.push(',');
@@ -436,17 +400,17 @@ impl LedgerEvent {
                             if k > 0 {
                                 choices.push(',');
                             }
-                            choices.push_str(&json_str(c));
+                            choices.push_str(&string_literal(c));
                         }
                         choices.push(']');
                         let _ = write!(
                             out,
                             "{{\"name\":{},\"kind\":{},\"scale\":{},\"lo\":{},\"hi\":{},\"choices\":{choices}}}",
-                            json_str(&d.name),
-                            json_str(&d.kind),
-                            json_str(&d.scale),
-                            json_f64(d.lo),
-                            json_f64(d.hi),
+                            string_literal(&d.name),
+                            string_literal(&d.kind),
+                            string_literal(&d.scale),
+                            number(d.lo, Shortest),
+                            number(d.hi, Shortest),
                         );
                     }
                     out.push_str("]}");
@@ -462,8 +426,8 @@ impl LedgerEvent {
                 rows,
             } => format!(
                 "{{\"type\":\"ale_curve\",\"feature\":{feature},\"model\":{},\"method\":{},\"grid_points\":{grid_points},\"rows\":{rows}}}",
-                json_str(model),
-                json_str(method),
+                string_literal(model),
+                string_literal(method),
             ),
             LedgerEvent::DatasetProfile {
                 round,
@@ -474,8 +438,8 @@ impl LedgerEvent {
             } => {
                 let mut out = format!(
                     "{{\"type\":\"dataset_profile\",\"round\":{round},\"split\":{},\"rows\":{rows},\"class_counts\":{},\"features\":[",
-                    json_str(split),
-                    json_u64_array(class_counts),
+                    string_literal(split),
+                    u64_array(class_counts),
                 );
                 for (i, f) in features.iter().enumerate() {
                     if i > 0 {
@@ -500,29 +464,29 @@ impl LedgerEvent {
             } => {
                 let mut out = format!(
                     "{{\"type\":\"model_diagnostics\",\"round\":{round},\"strategy\":{},\"rows\":{rows},\"classes\":[",
-                    json_str(strategy),
+                    string_literal(strategy),
                 );
                 for (i, c) in classes.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&json_str(c));
+                    out.push_str(&string_literal(c));
                 }
                 out.push_str("],\"confusion\":[");
                 for (i, row) in confusion.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&json_u64_array(row));
+                    out.push_str(&u64_array(row));
                 }
                 let _ = write!(
                     out,
                     "],\"brier\":{},\"bin_count\":{},\"bin_conf_sum\":{},\"bin_hit\":{},\"ale_band_width\":{}}}",
-                    json_f64(*brier),
-                    json_u64_array(bin_count),
-                    json_f64_array(bin_conf_sum),
-                    json_u64_array(bin_hit),
-                    json_f64(*ale_band_width),
+                    number(*brier, Shortest),
+                    u64_array(bin_count),
+                    f64_array(bin_conf_sum, Shortest),
+                    u64_array(bin_hit),
+                    number(*ale_band_width, Shortest),
                 );
                 out
             }
@@ -657,10 +621,10 @@ impl LedgerJsonlSink {
         writeln!(
             writer,
             "{{\"type\":\"ledger\",\"schema_version\":{LEDGER_SCHEMA_VERSION},\"run_id\":{},\"workload\":{},\"seed\":{},\"git\":{}}}",
-            json_str(&header.run_id),
-            json_str(&header.workload),
+            string_literal(&header.run_id),
+            string_literal(&header.workload),
             header.seed,
-            json_str(&header.git),
+            string_literal(&header.git),
         )?;
         Ok(LedgerJsonlSink {
             target: target.to_string(),
@@ -780,13 +744,6 @@ mod tests {
         assert!(claim_search_space_emission(), "reset re-arms the gate");
         mark_search_space_emitted();
         reset_search_space_gate();
-    }
-
-    #[test]
-    fn floats_use_shortest_round_trip_form() {
-        assert_eq!(json_f64(0.25), "0.25");
-        assert_eq!(json_f64(1.0), "1");
-        assert_eq!(json_f64_array(&[0.5, 2.0]), "[0.5,2]");
     }
 
     #[test]

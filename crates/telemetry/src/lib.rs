@@ -81,6 +81,7 @@
 pub mod alloc;
 pub mod crit;
 pub mod history;
+pub mod json;
 pub mod ledger;
 pub mod manifest;
 pub mod profile;
@@ -99,11 +100,12 @@ pub mod tracetree;
 pub use alloc::AllocStats;
 pub use crit::{CritReport, CRIT_SCHEMA_VERSION};
 pub use history::{HistoryRecord, HISTORY_SCHEMA_VERSION};
+pub use json::string_literal as json_string_literal;
 pub use ledger::{
     EnsembleMember, LedgerEvent, LedgerJsonlSink, ParamValue, SpaceDim, SpaceFamily,
     LEDGER_SCHEMA_VERSION,
 };
-pub use manifest::{json_string_literal, Manifest};
+pub use manifest::Manifest;
 pub use progress::{note, report, warn, Progress};
 pub use quality::{FeatureProfile, QualityReference, QualityReport, QUALITY_SCHEMA_VERSION};
 pub use registry::{global, HistSnapshot, Registry, Snapshot, SpanSnapshot};

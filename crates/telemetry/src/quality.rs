@@ -14,7 +14,7 @@
 //!   events (`dataset_profile`, `model_diagnostics`). The events carry
 //!   only *raw counts and sums*; every derived metric (accuracy,
 //!   precision/recall/F1, ECE, PSI) is recomputed on the read side so a
-//!   `quality.json` and an `amlquality` recompute from the ledger are
+//!   `quality.json` and an `amlview quality` recompute from the ledger are
 //!   byte-identical.
 //! * **collector** — when armed ([`set_active`]), [`observe`] keeps a
 //!   copy of each quality event; [`live_json`] serves the current
@@ -30,10 +30,10 @@
 //! load, the store is never allocated, and `/quality` answers with the
 //! `{"active":false}` sentinel.
 
+use crate::json::{f64_array, number, u64_array, Precision::Shortest};
 use crate::ledger::LedgerEvent;
-use crate::manifest::json_string_literal;
 use crate::sink::{Sink, SpanEvent};
-use crate::Snapshot;
+use crate::{json_string_literal, Snapshot};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -60,40 +60,6 @@ const PSI_EPSILON: f64 = 1e-6;
 /// Stored quality events are capped so a pathological run cannot grow
 /// the store unboundedly; further events count as `dropped`.
 const EVENT_CAP: usize = 4096;
-
-/// Shortest round-trip float; non-finite renders as `null` (the
-/// ledger's convention).
-fn shortest(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn u64_array(vs: &[u64]) -> String {
-    let mut out = String::from("[");
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
-    out
-}
-
-fn f64_array(vs: &[f64]) -> String {
-    let mut out = String::from("[");
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&shortest(*v));
-    }
-    out.push(']');
-    out
-}
 
 /// Per-feature summary of one split: moment statistics plus a fixed
 /// equal-width histogram over the feature's *declared* domain (log10
@@ -133,13 +99,13 @@ impl FeatureProfile {
             "{{\"name\":{},\"count\":{},\"mean\":{},\"std\":{},\"min\":{},\"max\":{},\"log10\":{},\"lo\":{},\"hi\":{},\"bins\":{}}}",
             json_string_literal(&self.name),
             self.count,
-            shortest(self.mean),
-            shortest(self.std),
-            shortest(self.min),
-            shortest(self.max),
+            number(self.mean, Shortest),
+            number(self.std, Shortest),
+            number(self.min, Shortest),
+            number(self.max, Shortest),
             self.log10,
-            shortest(self.lo),
-            shortest(self.hi),
+            number(self.lo, Shortest),
+            number(self.hi, Shortest),
             u64_array(&self.bins),
         )
     }
@@ -425,7 +391,7 @@ pub struct QualityReport {
 impl QualityReport {
     /// Render the pinned-field-order JSON document (trailing newline
     /// included), byte-identical between `--quality-out`, `/quality`,
-    /// and an `amlquality` recompute from the same ledger.
+    /// and an `amlview quality` recompute from the same ledger.
     pub fn render_json(&self) -> String {
         let mut out = format!(
             "{{\"active\":true,\"schema_version\":{},\"rounds\":[",
@@ -441,14 +407,14 @@ impl QualityReport {
                 r.round,
                 json_string_literal(&r.strategy),
                 r.rows,
-                shortest(r.accuracy),
-                shortest(r.balanced_accuracy),
-                shortest(r.macro_f1),
-                shortest(r.brier),
-                shortest(r.ece),
-                shortest(r.ale_band_width),
-                r.psi_mean.map_or("null".to_string(), shortest),
-                r.psi_max.map_or("null".to_string(), shortest),
+                number(r.accuracy, Shortest),
+                number(r.balanced_accuracy, Shortest),
+                number(r.macro_f1, Shortest),
+                number(r.brier, Shortest),
+                number(r.ece, Shortest),
+                number(r.ale_band_width, Shortest),
+                number(r.psi_mean.unwrap_or(f64::NAN), Shortest),
+                number(r.psi_max.unwrap_or(f64::NAN), Shortest),
             );
         }
         out.push_str("],\"final\":");
@@ -479,17 +445,17 @@ impl QualityReport {
                         "{{\"class\":{},\"support\":{},\"precision\":{},\"recall\":{},\"f1\":{}}}",
                         json_string_literal(&c.class),
                         c.support,
-                        shortest(c.precision),
-                        shortest(c.recall),
-                        shortest(c.f1),
+                        number(c.precision, Shortest),
+                        number(c.recall, Shortest),
+                        number(c.f1, Shortest),
                     );
                 }
                 let _ = write!(
                     out,
                     "],\"reliability\":{{\"count\":{},\"confidence\":{},\"accuracy\":{}}}}}",
                     u64_array(&d.reliability.count),
-                    f64_array(&d.reliability.confidence),
-                    f64_array(&d.reliability.accuracy),
+                    f64_array(&d.reliability.confidence, Shortest),
+                    f64_array(&d.reliability.accuracy, Shortest),
                 );
             }
         }
@@ -506,7 +472,7 @@ impl QualityReport {
                 out,
                 "{{\"name\":{},\"psi\":{}}}",
                 json_string_literal(&f.name),
-                f.psi.map_or("null".to_string(), shortest),
+                number(f.psi.unwrap_or(f64::NAN), Shortest),
             );
         }
         out.push_str("]},\"profiles\":[");
@@ -603,9 +569,9 @@ impl QualityReport {
         };
         let mut out = String::new();
         let _ = writeln!(out, "# TYPE quality_final_acc gauge");
-        let _ = writeln!(out, "quality_final_acc {}", shortest(last.accuracy));
+        let _ = writeln!(out, "quality_final_acc {}", number(last.accuracy, Shortest));
         let _ = writeln!(out, "# TYPE quality_ece gauge");
-        let _ = writeln!(out, "quality_ece {}", shortest(last.ece));
+        let _ = writeln!(out, "quality_ece {}", number(last.ece, Shortest));
         let drifted: Vec<&FeatureDrift> = self
             .drift
             .features
@@ -619,7 +585,7 @@ impl QualityReport {
                     out,
                     "quality_psi{{key=\"{}\"}} {}",
                     f.name.replace('"', "'"),
-                    shortest(f.psi.unwrap_or(0.0)),
+                    number(f.psi.unwrap_or(0.0), Shortest),
                 );
             }
         }

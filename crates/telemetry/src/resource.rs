@@ -2,11 +2,13 @@
 //!
 //! A background thread periodically reads `/proc/self/statm` (resident
 //! pages), `/proc/self/stat` (user/system CPU ticks), and
-//! `/proc/self/status` (thread count) and publishes them as gauges:
+//! `/proc/self/status` (peak RSS and thread count) and publishes them as
+//! gauges:
 //!
 //! * `proc.rss_bytes` — resident set size in bytes
-//! * `proc.rss_peak_bytes` — highest RSS any sample observed (feeds the
-//!   cross-run history's `peak_rss_bytes`)
+//! * `proc.rss_peak_bytes` — the kernel's high-water mark of the RSS
+//!   (`VmHWM`), the same figure the cross-run history's `peak_rss_bytes`
+//!   reads at the end of a run
 //! * `proc.cpu_user_ms` — cumulative user-mode CPU time, milliseconds
 //! * `proc.cpu_sys_ms` — cumulative kernel-mode CPU time, milliseconds
 //! * `proc.threads` — current thread count
@@ -19,7 +21,7 @@
 //! The sampler only exists when `--serve` is given; without it no thread
 //! is spawned (off-is-free).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -39,6 +41,9 @@ const MS_PER_TICK: u64 = 10;
 pub struct Sample {
     /// Resident set size in bytes.
     pub rss_bytes: u64,
+    /// Highest resident set size of the process so far, in bytes
+    /// (`VmHWM`; never below [`Sample::rss_bytes`]).
+    pub rss_peak_bytes: u64,
     /// Cumulative user-mode CPU time in milliseconds.
     pub cpu_user_ms: u64,
     /// Cumulative kernel-mode CPU time in milliseconds.
@@ -64,33 +69,31 @@ pub fn sample() -> Option<Sample> {
     let stime_ticks: u64 = fields.next()?.parse().ok()?;
 
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let threads: u64 = status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())?;
+    let field = |name: &str| -> Option<u64> {
+        status
+            .lines()
+            .find_map(|l| l.strip_prefix(name))
+            .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+    };
+    let threads = field("Threads:")?;
+    let rss_bytes = resident_pages * PAGE_BYTES;
+    let hwm_bytes = field("VmHWM:").map_or(0, |kb| kb * 1024);
 
     Some(Sample {
-        rss_bytes: resident_pages * PAGE_BYTES,
+        rss_bytes,
+        rss_peak_bytes: hwm_bytes.max(rss_bytes),
         cpu_user_ms: utime_ticks * MS_PER_TICK,
         cpu_sys_ms: stime_ticks * MS_PER_TICK,
         threads,
     })
 }
 
-/// Highest RSS any [`publish_once`] call has observed this process.
-/// Monotonic by construction (`fetch_max`), so sparse sampling can only
-/// under-report the peak, never invent one.
-static RSS_PEAK: AtomicU64 = AtomicU64::new(0);
-
 /// Take one sample and publish it into the `proc.*` gauges. No-op when
 /// `/proc` is unavailable or telemetry is off.
 pub fn publish_once() {
     if let Some(s) = sample() {
-        let peak = RSS_PEAK
-            .fetch_max(s.rss_bytes, Ordering::Relaxed)
-            .max(s.rss_bytes);
         crate::gauge_set("proc.rss_bytes", s.rss_bytes);
-        crate::gauge_set("proc.rss_peak_bytes", peak);
+        crate::gauge_set("proc.rss_peak_bytes", s.rss_peak_bytes);
         crate::gauge_set("proc.cpu_user_ms", s.cpu_user_ms);
         crate::gauge_set("proc.cpu_sys_ms", s.cpu_sys_ms);
         crate::gauge_set("proc.threads", s.threads);
@@ -162,6 +165,7 @@ mod tests {
             return; // /proc unavailable: graceful no-op is the contract
         };
         assert!(s.rss_bytes > 0, "{s:?}");
+        assert!(s.rss_peak_bytes >= s.rss_bytes, "{s:?}");
         assert!(s.threads >= 1, "{s:?}");
         // CPU times are cumulative; merely non-decreasing across reads.
         let s2 = sample().unwrap();

@@ -38,9 +38,13 @@
 //!
 //! Rendered three ways: [`SearchReport::render_json`] (pinned field
 //! order, written by `--search-out`, served at `/search`),
-//! [`SearchReport::render_table`] (the `amlsearch` summary), and the
+//! [`SearchReport::render_table`] (the `amlview search` summary), and the
 //! dashboard's search-explorer panel (which consumes the JSON).
 
+use crate::json::{
+    number,
+    Precision::{Fixed, Shortest},
+};
 use crate::ledger::{LedgerEvent, ParamValue, SpaceDim, SpaceFamily};
 use crate::registry::Snapshot;
 use crate::sink::{Sink, SpanEvent};
@@ -547,26 +551,6 @@ fn dim_report(
     }
 }
 
-fn f6(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn opt_f6(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".to_string(), f6)
-}
-
-fn shortest(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 impl SearchReport {
     /// Render as one JSON line (plus trailing newline). Field order and
     /// formatting are pinned by a golden test; `/search` serves exactly
@@ -601,8 +585,8 @@ impl SearchReport {
                 f.configs,
                 f.fits,
                 f.failed,
-                opt_f6(f.best_score),
-                opt_f6(f.mean_score),
+                number(f.best_score.unwrap_or(f64::NAN), Fixed(6)),
+                number(f.mean_score.unwrap_or(f64::NAN), Fixed(6)),
             );
             for (j, d) in f.dims.iter().enumerate() {
                 if j > 0 {
@@ -638,12 +622,12 @@ impl SearchReport {
                     crate::json_string_literal(&d.name),
                     crate::json_string_literal(&d.kind),
                     crate::json_string_literal(&d.scale),
-                    shortest(d.lo),
-                    shortest(d.hi),
+                    number(d.lo, Shortest),
+                    number(d.hi, Shortest),
                     d.bins,
                     d.visited,
-                    f6(d.coverage),
-                    f6(d.importance),
+                    number(d.coverage, Fixed(6)),
+                    number(d.importance, Fixed(6)),
                 );
             }
             out.push_str("]}");
@@ -653,7 +637,7 @@ impl SearchReport {
         out
     }
 
-    /// The human-readable summary `amlsearch` prints and `--search-out`
+    /// The human-readable summary `amlview search` prints and `--search-out`
     /// appends to the run footer on stderr.
     pub fn render_table(&self) -> String {
         let mut out = String::from("hyperparameter search:\n");

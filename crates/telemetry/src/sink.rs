@@ -18,6 +18,7 @@
 //! is installed is a single relaxed atomic load, preserving the crate's
 //! off-is-free guarantee.
 
+use crate::json::string_literal;
 use crate::ledger::LedgerEvent;
 use crate::registry::Snapshot;
 use std::io::{BufWriter, Write};
@@ -318,10 +319,10 @@ impl JsonlSink {
         writeln!(
             writer,
             "{{\"type\":\"run\",\"run_id\":{},\"workload\":{},\"seed\":{},\"git\":{}}}",
-            json_str(&header.run_id),
-            json_str(&header.workload),
+            string_literal(&header.run_id),
+            string_literal(&header.workload),
             header.seed,
-            json_str(&header.git),
+            string_literal(&header.git),
         )?;
         Ok(JsonlSink {
             target: target.to_string(),
@@ -338,7 +339,7 @@ impl Sink for JsonlSink {
         let written = writeln!(
             w,
             "{{\"type\":\"span\",\"name\":{},\"tid\":{},\"depth\":{},\"ts_us\":{:.3},\"dur_us\":{:.3}}}",
-            json_str(&event.name),
+            string_literal(&event.name),
             event.tid,
             event.depth,
             event.start_us,
@@ -355,7 +356,7 @@ impl Sink for JsonlSink {
             writeln!(
                 w,
                 "{{\"type\":\"counter\",\"name\":{},\"value\":{}}}",
-                json_str(name),
+                string_literal(name),
                 value
             )?;
         }
@@ -363,7 +364,7 @@ impl Sink for JsonlSink {
             writeln!(
                 w,
                 "{{\"type\":\"histogram\",\"name\":{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{}}}",
-                json_str(&h.name),
+                string_literal(&h.name),
                 h.count,
                 h.sum,
                 h.min,
@@ -378,10 +379,6 @@ impl Sink for JsonlSink {
     fn target(&self) -> String {
         self.target.clone()
     }
-}
-
-pub(crate) fn json_str(s: &str) -> String {
-    crate::manifest::json_string_literal(s)
 }
 
 #[cfg(test)]

@@ -64,41 +64,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("--- operator triage (the paper's §4.2 reasoning) ---");
     println!("* src_port: kernel-assigned, noisy by nature -> DISCARD this bound");
     println!("* dst_port 443-445: HTTPS, a prime DDoS target -> COLLECT more data here");
-
-    // Going beyond the paper: second-order ALE ranks feature *interactions*
-    // — the firewall's hidden rate-limit rule is a dst_port × pkts_sent
-    // interaction, and the strongest pairs should involve those features.
-    println!("\n--- interaction scan (second-order ALE, extension) ---");
-    let member = analysis_model(&train)?;
-    let ranked = interpretable_automl::interpret::rank_interactions(
-        member.as_ref(),
-        &train,
-        6,
-        &interpretable_automl::interpret::AleConfig { target_class: 0 },
-    )?;
-    for (j, k, strength) in ranked.iter().take(3) {
-        println!(
-            "  {} x {}: interaction strength {:.4}",
-            train.features()[*j].name,
-            train.features()[*k].name,
-            strength
-        );
-    }
     Ok(())
-}
-
-/// Fit a single strong tree for the interaction scan (cheaper than running
-/// the scan against the whole ensemble, and trees express interactions
-/// directly).
-fn analysis_model(
-    train: &interpretable_automl::data::Dataset,
-) -> Result<Box<dyn interpretable_automl::models::Classifier>, Box<dyn std::error::Error>> {
-    use interpretable_automl::models::{tree::TreeParams, DecisionTree};
-    Ok(Box::new(DecisionTree::fit(
-        train,
-        TreeParams {
-            max_depth: 10,
-            ..Default::default()
-        },
-    )?))
 }

@@ -13,7 +13,7 @@
 //!   soft-voting ensembles;
 //! * [`automl`] — the mini auto-sklearn (search + Caruana ensemble
 //!   selection);
-//! * [`interpret`] — ALE, PDP/ICE, cross-model variance bands, region
+//! * [`interpret`] — ALE, PDP, cross-model variance bands, region
 //!   extraction, plot rendering;
 //! * [`netsim`] — the deterministic congestion-control simulator
 //!   (Pantheon substitute) and the "Scream vs rest" data generator;
