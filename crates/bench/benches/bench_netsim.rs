@@ -1,6 +1,6 @@
 //! Criterion benchmarks for the network simulator: full simulation runs
-//! per protocol and condition-labeling cost (the data-generation hot
-//! path behind every Scream-vs-rest dataset).
+//! per protocol, per flow count, and condition-labeling cost (the
+//! data-generation hot path behind every Scream-vs-rest dataset).
 
 use aml_microbench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use aml_netsim::cc::CcKind;
@@ -29,6 +29,32 @@ fn bench_single_protocol_run(c: &mut Criterion) {
                     .expect("run")
             })
         });
+    }
+    group.finish();
+}
+
+/// All six protocols on one lossy fast path, by flow count: the event
+/// core keeps per-flow slots, so its cost must not grow with the flows
+/// faster than the traffic does (64 is the most `from_row` accepts).
+fn bench_flow_counts(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sim_run_flows");
+    group.sample_size(10);
+    for n_flows in [1, 6, 64] {
+        let condition = cond(100.0, 100.0, 0.01, n_flows);
+        group.bench_with_input(
+            BenchmarkId::from_parameter(n_flows),
+            &condition,
+            |b, &cnd| {
+                b.iter(|| {
+                    for kind in CcKind::ALL {
+                        Simulation::new(SimConfig::for_condition(cnd, kind, 1))
+                            .expect("config")
+                            .run()
+                            .expect("run");
+                    }
+                })
+            },
+        );
     }
     group.finish();
 }
@@ -63,5 +89,10 @@ fn bench_labeling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_single_protocol_run, bench_labeling);
+criterion_group!(
+    benches,
+    bench_single_protocol_run,
+    bench_flow_counts,
+    bench_labeling
+);
 criterion_main!(benches);

@@ -7,7 +7,7 @@
 
 use crate::cc::{AckEvent, CongestionControl};
 use crate::time::{Duration, SimTime};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Minimum retransmission timeout (sim-scale; real stacks use 200 ms–1 s).
 const MIN_RTO: Duration = Duration::from_millis(100);
@@ -22,16 +22,15 @@ pub struct Flow {
     pub cc: Box<dyn CongestionControl>,
     /// Next sequence number to send.
     pub next_seq: u64,
-    /// Outstanding packets: seq → (sent_at, size).
-    pub inflight: BTreeMap<u64, (SimTime, u32)>,
+    /// Outstanding packets as `(seq, size)`, oldest first. Sequence
+    /// numbers are sent in increasing order, so the deque stays sorted.
+    pub inflight: VecDeque<(u64, u32)>,
     /// Sum of outstanding sizes.
     pub inflight_bytes: u64,
     /// Earliest instant pacing allows the next send.
     pub next_send_time: SimTime,
     /// Whether a SenderWake event is already scheduled (avoids duplicates).
     pub wake_scheduled: bool,
-    /// Timeout-timer generation (stale-event guard).
-    pub timeout_generation: u64,
     /// When the last ACK arrived (or the flow started).
     pub last_ack_time: SimTime,
     /// Whether the flow has started sending.
@@ -65,11 +64,10 @@ impl Flow {
             id,
             cc,
             next_seq: 0,
-            inflight: BTreeMap::new(),
+            inflight: VecDeque::new(),
             inflight_bytes: 0,
             next_send_time: SimTime::ZERO,
             wake_scheduled: false,
-            timeout_generation: 0,
             last_ack_time: SimTime::ZERO,
             started: false,
             srtt: None,
@@ -84,8 +82,9 @@ impl Flow {
     }
 
     /// Register a sent packet.
-    pub fn on_send(&mut self, seq: u64, size: u32, now: SimTime) {
-        self.inflight.insert(seq, (now, size));
+    pub fn on_send(&mut self, seq: u64, size: u32) {
+        debug_assert!(self.inflight.back().is_none_or(|&(s, _)| s < seq));
+        self.inflight.push_back((seq, size));
         self.inflight_bytes += size as u64;
     }
 
@@ -100,16 +99,22 @@ impl Flow {
         now: SimTime,
     ) -> Option<AckEvent> {
         // In-order path ⇒ anything older than `seq` still outstanding was
-        // dropped. Collect and mark lost before accounting this ACK.
-        let lost: Vec<u64> = self.inflight.range(..seq).map(|(&s, _)| s).collect();
-        let had_loss = !lost.is_empty();
-        for s in lost {
-            let (_, sz) = self.inflight.remove(&s).expect("key from range");
+        // dropped. Mark it lost before accounting this ACK.
+        let mut had_loss = false;
+        while let Some(&(s, sz)) = self.inflight.front() {
+            if s >= seq {
+                break;
+            }
+            self.inflight.pop_front();
             self.inflight_bytes -= sz as u64;
             self.lost_packets += 1;
+            had_loss = true;
         }
 
-        self.inflight.remove(&seq)?;
+        if self.inflight.front()?.0 != seq {
+            return None;
+        }
+        self.inflight.pop_front();
         self.inflight_bytes -= bytes as u64;
         self.last_ack_time = now;
 
@@ -224,7 +229,7 @@ mod tests {
     #[test]
     fn ack_removes_inflight_and_samples_rtt() {
         let mut f = flow();
-        f.on_send(0, 1500, t(0));
+        f.on_send(0, 1500);
         assert_eq!(f.inflight_bytes, 1500);
         let ev = f.on_ack(0, t(0), 1500, t(40)).unwrap();
         assert_eq!(f.inflight_bytes, 0);
@@ -236,9 +241,9 @@ mod tests {
     #[test]
     fn gap_ack_declares_older_packets_lost() {
         let mut f = flow();
-        f.on_send(0, 1500, t(0));
-        f.on_send(1, 1500, t(1));
-        f.on_send(2, 1500, t(2));
+        f.on_send(0, 1500);
+        f.on_send(1, 1500);
+        f.on_send(2, 1500);
         // Ack of seq 2 with 0 and 1 still outstanding ⇒ both lost.
         let ev = f.on_ack(2, t(2), 1500, t(42)).unwrap();
         assert_eq!(f.lost_packets, 2);
@@ -249,16 +254,29 @@ mod tests {
     #[test]
     fn stale_ack_returns_none() {
         let mut f = flow();
-        f.on_send(0, 1500, t(0));
+        f.on_send(0, 1500);
         f.on_ack(0, t(0), 1500, t(40)).unwrap();
         assert!(f.on_ack(0, t(0), 1500, t(50)).is_none());
+    }
+
+    #[test]
+    fn stale_ack_still_clears_older_entries() {
+        let mut f = flow();
+        for s in [0, 1, 3] {
+            f.on_send(s, 1500);
+        }
+        // Seq 2 is not outstanding: 0 and 1 are lost, 3 stays in flight.
+        assert!(f.on_ack(2, t(2), 1500, t(42)).is_none());
+        assert_eq!(f.lost_packets, 2);
+        assert_eq!(f.inflight_bytes, 1500);
+        assert_eq!(f.inflight, VecDeque::from([(3, 1500)]));
     }
 
     #[test]
     fn timeout_clears_window() {
         let mut f = flow();
         for s in 0..5 {
-            f.on_send(s, 1500, t(s));
+            f.on_send(s, 1500);
         }
         let n = f.on_timeout(t(500));
         assert_eq!(n, 5);
@@ -270,7 +288,7 @@ mod tests {
     fn rto_bounded() {
         let mut f = flow();
         assert!(f.rto() >= MIN_RTO);
-        f.on_send(0, 1500, t(0));
+        f.on_send(0, 1500);
         f.on_ack(0, t(0), 1500, t(1));
         assert!(f.rto() >= MIN_RTO && f.rto() <= MAX_RTO);
     }
@@ -279,7 +297,7 @@ mod tests {
     fn rtt_smoothing_converges() {
         let mut f = flow();
         for i in 0..100u64 {
-            f.on_send(i, 1500, t(i * 50));
+            f.on_send(i, 1500);
             f.on_ack(i, t(i * 50), 1500, t(i * 50 + 40));
         }
         let srtt_ms = f.srtt().as_millis_f64();
@@ -292,7 +310,7 @@ mod tests {
         // Deliver 1500B every 1ms → 12 Mbps.
         let mut rate = None;
         for i in 0..200u64 {
-            f.on_send(i, 1500, t(i));
+            f.on_send(i, 1500);
             if let Some(ev) = f.on_ack(i, t(i), 1500, t(i + 40)) {
                 rate = ev.delivery_rate_bps.or(rate);
             }
@@ -308,7 +326,7 @@ mod tests {
         let mut sent = 0u64;
         let mut seq = 0u64;
         while f.can_send(1500) {
-            f.on_send(seq, 1500, t(0));
+            f.on_send(seq, 1500);
             seq += 1;
             sent += 1500;
             assert!(sent <= cwnd + 1500);

@@ -6,7 +6,7 @@
 //! * conservation — every sent packet is delivered, dropped at the queue,
 //!   lost on the link, or still in flight at the end;
 //! * determinism — identical `(config, seed)` ⇒ identical statistics;
-//! * liveness — a per-flow RTO timer (generation-guarded) guarantees the
+//! * liveness — a per-flow RTO timer (re-armed in place) guarantees the
 //!   event loop never stalls while a flow has outstanding data.
 
 use crate::cc::CcKind;
@@ -187,8 +187,8 @@ impl Simulation {
         };
         Ok(Simulation {
             rng: StdRng::seed_from_u64(cfg.seed),
+            events: EventQueue::new(cond.n_flows),
             flows,
-            events: EventQueue::new(),
             queue,
             link_busy: false,
             now: SimTime::ZERO,
@@ -211,7 +211,7 @@ impl Simulation {
             );
         }
 
-        // Safety valve: the event count is physically bounded by
+        // Safety valve: the live-event count is physically bounded by
         // link-rate × duration × constant; 64× that means a logic bug.
         let max_events = 64
             * (self.link_rate_bps * self.cfg.duration.as_secs_f64() / (8.0 * self.cfg.mss as f64))
@@ -296,10 +296,7 @@ impl Simulation {
                 }
                 self.try_send(flow);
             }
-            Event::Timeout { flow, generation } => {
-                if generation != self.flows[flow].timeout_generation {
-                    return; // stale timer
-                }
+            Event::Timeout { flow } => {
                 let f = &self.flows[flow];
                 let deadline = f.last_ack_time + f.rto();
                 if !f.inflight.is_empty() && self.now >= deadline {
@@ -334,7 +331,7 @@ impl Simulation {
             let f = &mut self.flows[flow];
             let seq = f.next_seq;
             f.next_seq += 1;
-            f.on_send(seq, mss, self.now);
+            f.on_send(seq, mss);
             self.sent += 1;
             if let Some(rate) = f.cc.pacing_rate_bps() {
                 let gap = serialization_time(mss, rate);
@@ -373,33 +370,31 @@ impl Simulation {
             .schedule(self.now + ser + self.prop_half, Event::Delivery { packet });
     }
 
-    /// (Re)arm the flow's RTO timer with a fresh generation. The timer is
-    /// always strictly in the future (≥ now + RTO/4) — scheduling at `now`
-    /// would let an idle flow re-fire the same instant forever.
+    /// (Re)arm the flow's RTO timer, replacing the pending one. The timer
+    /// is always strictly in the future (≥ now + RTO/4) — scheduling at
+    /// `now` would let an idle flow re-fire the same instant forever.
     fn arm_timeout(&mut self, flow: usize) {
-        let f = &mut self.flows[flow];
-        f.timeout_generation += 1;
-        let generation = f.timeout_generation;
+        let f = &self.flows[flow];
         let at = (f.last_ack_time + f.rto()).max(self.now + f.rto().mul_f64(0.25));
-        self.events
-            .schedule(at, Event::Timeout { flow, generation });
+        self.events.schedule(at, Event::Timeout { flow });
     }
 
-    fn finish(self) -> SimOutcome {
+    fn finish(mut self) -> SimOutcome {
         let measure_secs = (self.cfg.duration - self.cfg.warmup).as_secs_f64();
         let mut flows = Vec::with_capacity(self.flows.len());
         let mut all_delays: Vec<f64> = Vec::new();
         let mut total_tp = 0.0;
-        for f in &self.flows {
+        for f in &mut self.flows {
             let tp = f.measured_bytes as f64 * 8.0 / measure_secs / 1e6;
             total_tp += tp;
-            let (mean_d, p95_d) = delay_stats(&f.delay_samples);
+            // Pool the samples before `delay_stats` reorders them.
+            all_delays.extend_from_slice(&f.delay_samples);
+            let (mean_d, p95_d) = delay_stats(&mut f.delay_samples);
             let mean_rtt = if f.rtt_samples.is_empty() {
                 f64::INFINITY
             } else {
                 f.rtt_samples.iter().sum::<f64>() / f.rtt_samples.len() as f64 * 1e3
             };
-            all_delays.extend_from_slice(&f.delay_samples);
             flows.push(FlowStats {
                 throughput_mbps: tp,
                 mean_delay_ms: mean_d,
@@ -409,7 +404,7 @@ impl Simulation {
                 delivered_packets: f.delay_samples.len(),
             });
         }
-        let (mean_delay_ms, p95_delay_ms) = delay_stats(&all_delays);
+        let (mean_delay_ms, p95_delay_ms) = delay_stats(&mut all_delays);
         SimOutcome {
             flows,
             total_throughput_mbps: total_tp,
@@ -421,15 +416,17 @@ impl Simulation {
 }
 
 /// `(mean, p95)` of delay samples in milliseconds; infinities when empty.
-fn delay_stats(samples: &[f64]) -> (f64, f64) {
+/// The mean is summed in sample order; the p95 is selected in place, which
+/// reorders `samples`.
+fn delay_stats(samples: &mut [f64]) -> (f64, f64) {
     if samples.is_empty() {
         return (f64::INFINITY, f64::INFINITY);
     }
     let mean = samples.iter().sum::<f64>() / samples.len() as f64 * 1e3;
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("delays are finite"));
-    let idx = ((sorted.len() as f64 - 1.0) * 0.95).round() as usize;
-    (mean, sorted[idx] * 1e3)
+    let idx = ((samples.len() as f64 - 1.0) * 0.95).round() as usize;
+    let (_, p95, _) =
+        samples.select_nth_unstable_by(idx, |a, b| a.partial_cmp(b).expect("delays are finite"));
+    (mean, *p95 * 1e3)
 }
 
 #[cfg(test)]
