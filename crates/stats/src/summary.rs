@@ -2,8 +2,9 @@
 //!
 //! Table 1 reports, per algorithm, its balanced accuracy (`mean ± std`) and
 //! p-values `P(x, y)` of the one-sided Wilcoxon test with alternative
-//! "`x` has less balanced accuracy than `y`". [`PairwiseMatrix`] holds the
-//! paired score vectors for every algorithm and renders that table.
+//! "`y` has less balanced accuracy than `x`": a small `P(x, y)` says `x`
+//! beats `y`. [`PairwiseMatrix`] holds the paired score vectors for every
+//! algorithm and renders that table.
 
 use crate::descriptive::Summary;
 use crate::wilcoxon::{wilcoxon_signed_rank, Alternative};
@@ -14,7 +15,7 @@ use crate::{Result, StatsError};
 pub enum SignificanceCell {
     /// Diagonal — an algorithm is never compared against itself.
     NotApplicable,
-    /// One-sided p-value for "row is worse than column".
+    /// One-sided p-value for "column is worse than row".
     P(f64),
     /// The test degenerated (all paired differences were exactly zero).
     Degenerate,
@@ -99,12 +100,12 @@ impl PairwiseMatrix {
     }
 
     /// `P(row, col)`: one-sided Wilcoxon p-value for the alternative
-    /// "row's scores are less than col's".
+    /// "col's scores are less than row's" (small when row beats col).
     pub fn p_value(&self, row: usize, col: usize) -> SignificanceCell {
         if row == col {
             return SignificanceCell::NotApplicable;
         }
-        match wilcoxon_signed_rank(&self.scores[row], &self.scores[col], Alternative::Less) {
+        match wilcoxon_signed_rank(&self.scores[col], &self.scores[row], Alternative::Less) {
             Ok(r) => SignificanceCell::P(r.p_value),
             Err(_) => SignificanceCell::Degenerate,
         }
@@ -179,14 +180,15 @@ mod tests {
     }
 
     #[test]
-    fn weaker_algorithm_has_small_p_against_stronger() {
+    fn dominating_row_has_small_p_against_dominated_column() {
+        // "strong" beats "weak" on every paired set.
         let m = demo();
-        match m.p_value(0, 1) {
-            SignificanceCell::P(p) => assert!(p < 0.05, "p = {p}"),
+        match m.p_value(1, 0) {
+            SignificanceCell::P(p) => assert!(p < 0.05, "P(strong, weak) = {p}"),
             other => panic!("unexpected {other:?}"),
         }
-        match m.p_value(1, 0) {
-            SignificanceCell::P(p) => assert!(p > 0.9, "p = {p}"),
+        match m.p_value(0, 1) {
+            SignificanceCell::P(p) => assert!(p > 0.5, "P(weak, strong) = {p}"),
             other => panic!("unexpected {other:?}"),
         }
     }

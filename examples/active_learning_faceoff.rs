@@ -61,6 +61,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\n{}", Table::build(&outcomes)?.render()?);
-    println!("(p-values: one-sided Wilcoxon, H1 = row is worse than column)");
+    println!("(p-values: one-sided Wilcoxon, H1 = column is worse than row)");
     Ok(())
 }
