@@ -106,8 +106,9 @@ impl EventQueue {
     /// Empty queue for `n_flows` flows.
     pub fn new(n_flows: usize) -> Self {
         let width = (2 * n_flows).next_power_of_two().max(2);
+        let mut tree = vec![0; width];
+        tree.extend(0..width);
         // All slots start empty: every match goes to the leftmost slot.
-        let mut tree: Vec<usize> = (0..width).chain(0..width).collect();
         for node in (1..width).rev() {
             tree[node] = tree[2 * node];
         }
@@ -283,26 +284,27 @@ mod prop_tests {
     use std::collections::BinaryHeap;
 
     /// The order a single heap of `(time, sequence)` gives, skipping
-    /// timeouts that a later re-arm superseded.
+    /// timeouts that a later re-arm superseded. The sequence number is the
+    /// event's index in `events`.
     struct Reference {
-        heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+        heap: BinaryHeap<Reverse<(SimTime, usize)>>,
         events: Vec<Event>,
-        live_timer: Vec<u64>,
+        live_timer: Vec<usize>,
     }
 
     impl Reference {
         fn schedule(&mut self, at: SimTime, event: Event) {
-            let seq = self.events.len() as u64;
+            let seq = self.events.len();
             if let Event::Timeout { flow } = event {
                 self.live_timer[flow] = seq;
             }
-            self.heap.push(Reverse((at, seq, self.events.len())));
+            self.heap.push(Reverse((at, seq)));
             self.events.push(event);
         }
 
         fn pop(&mut self) -> Option<(SimTime, Event)> {
-            while let Some(Reverse((at, seq, i))) = self.heap.pop() {
-                match self.events[i] {
+            while let Some(Reverse((at, seq))) = self.heap.pop() {
+                match self.events[seq] {
                     Event::Timeout { flow } if self.live_timer[flow] != seq => continue,
                     ref e => return Some((at, e.clone())),
                 }
@@ -336,7 +338,7 @@ mod prop_tests {
             let mut r = Reference {
                 heap: BinaryHeap::new(),
                 events: Vec::new(),
-                live_timer: vec![u64::MAX; n_flows],
+                live_timer: vec![usize::MAX; n_flows],
             };
             fn schedule(q: &mut EventQueue, r: &mut Reference, at: SimTime, e: Event) {
                 q.schedule(at, e.clone());

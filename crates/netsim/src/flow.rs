@@ -83,7 +83,10 @@ impl Flow {
 
     /// Register a sent packet.
     pub fn on_send(&mut self, seq: u64, size: u32) {
-        debug_assert!(self.inflight.back().is_none_or(|&(s, _)| s < seq));
+        debug_assert!(
+            self.inflight.back().is_none_or(|&(s, _)| s < seq),
+            "sequence numbers are sent in increasing order"
+        );
         self.inflight.push_back((seq, size));
         self.inflight_bytes += size as u64;
     }
