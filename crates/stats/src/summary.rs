@@ -188,7 +188,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         match m.p_value(0, 1) {
-            SignificanceCell::P(p) => assert!(p > 0.5, "P(weak, strong) = {p}"),
+            SignificanceCell::P(p) => assert!(p > 0.9, "P(weak, strong) = {p}"),
             other => panic!("unexpected {other:?}"),
         }
     }
