@@ -447,15 +447,9 @@ fn crit_fields(report: Option<&CritReport>) -> Vec<(String, Value)> {
     let Some(report) = report else {
         return Vec::new();
     };
-    let mut segments: Vec<_> = report.path.iter().collect();
-    segments.sort_by(|a, b| {
-        b.contribution_ns
-            .cmp(&a.contribution_ns)
-            .then_with(|| a.name.cmp(&b.name))
-    });
-    let top: Vec<Value> = segments
+    let top: Vec<Value> = report
+        .top_segments(5)
         .into_iter()
-        .take(5)
         .map(|s| {
             Value::Obj(vec![
                 ("name".into(), Value::Str(s.name.clone())),

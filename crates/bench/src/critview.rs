@@ -107,16 +107,18 @@ fn parse_scenarios(v: &Value) -> Result<ScenarioStats, String> {
     })
 }
 
-/// The critical-path chain as a self-contained inline SVG: one bar per
-/// chain segment, full-width = the dominant phase's total, the solid
-/// part = the segment's own contribution. Same self-containment contract
-/// as the rest of `amlreport` (no scripts, no external assets).
+/// The critical path as a self-contained inline SVG: one bar per
+/// segment of [`CritReport::top_segments`], full-width = the dominant
+/// phase's total, the solid part = the segment's own contribution. Same
+/// self-containment contract as the rest of `amlreport` (no scripts, no
+/// external assets).
 pub fn render_crit_svg(report: &CritReport) -> String {
     const W: f64 = 640.0;
     const BAR: f64 = 22.0;
     const GAP: f64 = 6.0;
     const LEFT: f64 = 10.0;
-    let rows = report.path.len().max(1);
+    let top = report.top_segments(10);
+    let rows = top.len().max(1);
     let height = rows as f64 * (BAR + GAP) + GAP;
     let mut out = String::with_capacity(2048);
     let _ = write!(
@@ -124,7 +126,7 @@ pub fn render_crit_svg(report: &CritReport) -> String {
         "<svg viewBox=\"0 0 {W} {height}\" width=\"{W}\" height=\"{height}\" \
          xmlns=\"http://www.w3.org/2000/svg\" role=\"img\">"
     );
-    if report.path.is_empty() {
+    if top.is_empty() {
         let _ = write!(
             out,
             "<text x=\"{LEFT}\" y=\"{}\" font-size=\"12\">no critical path recorded</text>",
@@ -134,7 +136,7 @@ pub fn render_crit_svg(report: &CritReport) -> String {
         return out;
     }
     let scale = (W - 2.0 * LEFT) / report.path[0].total_ns.max(1) as f64;
-    for (i, s) in report.path.iter().enumerate() {
+    for (i, s) in top.iter().enumerate() {
         let y = GAP + i as f64 * (BAR + GAP);
         let total_w = s.total_ns as f64 * scale;
         let contrib_w = s.contribution_ns as f64 * scale;
@@ -282,7 +284,10 @@ mod tests {
         let svg = render_crit_svg(&report);
         assert!(svg.starts_with("<svg"), "{svg}");
         // Two rects per segment: total (faded) + contribution (solid).
-        assert_eq!(svg.matches("<rect").count(), 2 * report.path.len());
+        assert_eq!(
+            svg.matches("<rect").count(),
+            2 * report.top_segments(10).len()
+        );
         assert!(svg.contains("bench.datagen"), "{svg}");
         assert!(svg.contains("[par]"), "{svg}");
         let empty = render_crit_svg(&analyze(&[], &aml_telemetry::Registry::new().snapshot()));

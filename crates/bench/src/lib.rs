@@ -103,13 +103,15 @@ pub struct RunOpts {
     /// `/runs`) on this address (e.g. `127.0.0.1:9100`; port 0 picks a
     /// free port, written to `<out>/serve.addr`).
     pub serve: Option<String>,
-    /// Write the span self-time profile here in collapsed-stack folded
-    /// format (flamegraph-ready) at the end of the run.
+    /// Collect the causal trace tree during the run and write the span
+    /// self-time profile derived from it here, in collapsed-stack folded
+    /// format (flamegraph-ready), at the end; a top table goes to stderr.
     pub profile_out: Option<PathBuf>,
     /// Collect the causal trace tree during the run and write the
-    /// critical-path report (longest chain, per-phase Amdahl estimate,
-    /// per-scenario costs) here as JSON at the end; also printed as a
-    /// table on stderr and served live at `/crit` with `--serve`.
+    /// critical-path report (the serial work bounding the dominant phase,
+    /// per-phase Amdahl estimate, per-scenario costs) here as JSON at the
+    /// end; also printed as a table on stderr and served live at `/crit`
+    /// with `--serve`.
     pub crit_out: Option<PathBuf>,
     /// Collect search observability (declared-space coverage, rung
     /// funnels, hyperparameter importance) during the run and write
@@ -175,15 +177,16 @@ options:
                           the run is live (port 0 picks a free port, written
                           to <out>/serve.addr); also starts the /proc
                           resource sampler
-  --profile-out PATH      write the span self-time profile as collapsed
-                          stacks (flamegraph-ready) and print a top table
+  --profile-out PATH      collect the causal trace tree, write each span
+                          stack's self time as collapsed stacks (flamegraph-
+                          ready; waiting on workers is blocked, not self)
                           (export/serve/profile flags imply --telemetry summary)
   --crit-out PATH         collect the causal trace tree and write the
-                          critical-path report (longest dependency chain,
-                          per-phase serial fraction / Amdahl speedup ceiling,
-                          per-scenario datagen costs) as JSON; printed as a
-                          table on stderr, served live at /crit, and read by
-                          `amlview crit`
+                          critical-path report (the serial work bounding
+                          the dominant phase, per-phase serial fraction /
+                          Amdahl speedup ceiling, per-scenario datagen
+                          costs) as JSON; printed as a table on stderr,
+                          served live at /crit, and read by `amlview crit`
   --search-out PATH       collect search observability (declared-space
                           coverage, successive-halving rung funnels,
                           fANOVA-lite hyperparameter importance) and write
@@ -366,11 +369,11 @@ impl RunOpts {
 
         if let Some(path) = &self.profile_out {
             ensure_parent(path, "--profile-out")?;
-            aml_telemetry::profile::reset();
-            aml_telemetry::profile::set_active(true);
         }
         if let Some(path) = &self.crit_out {
             ensure_parent(path, "--crit-out")?;
+        }
+        if self.profile_out.is_some() || self.crit_out.is_some() {
             aml_telemetry::tracetree::reset();
             aml_telemetry::tracetree::set_active(true);
         }
@@ -651,23 +654,23 @@ impl RunOpts {
                 )),
             }
         }
+        // Deactivate first so both reports read the final tree; the
+        // resource gauges were already published above, so wall-vs-CPU
+        // attribution lands in the crit report.
+        aml_telemetry::tracetree::set_active(false);
         if let Some(path) = &self.profile_out {
-            aml_telemetry::profile::set_active(false);
             match aml_telemetry::profile::write_folded(path) {
-                Ok(()) => aml_telemetry::note(&format!("wrote {}", path.display())),
+                Ok(table) => {
+                    aml_telemetry::note(&format!("wrote {}", path.display()));
+                    eprint!("{table}");
+                }
                 Err(e) => aml_telemetry::warn(&format!(
                     "could not write --profile-out {}: {e}",
                     path.display()
                 )),
             }
-            let entries = aml_telemetry::profile::entries();
-            eprint!("{}", aml_telemetry::profile::render_top_table(&entries, 10));
         }
         if let Some(path) = &self.crit_out {
-            // Deactivate first so the report's tree is final; the resource
-            // gauges were already published above, so wall-vs-CPU
-            // attribution lands in the report.
-            aml_telemetry::tracetree::set_active(false);
             match aml_telemetry::crit::write_json(path) {
                 Ok(report) => {
                     aml_telemetry::note(&format!("wrote {}", path.display()));

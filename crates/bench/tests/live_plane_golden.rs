@@ -3,11 +3,15 @@
 //!
 //! * the Prometheus text exposition for a fixed registry snapshot is
 //!   pinned byte-for-byte — scrape-side dashboards can rely on the shape;
-//! * the folded-stack profiler output for a deterministic nested-span
-//!   program is pinned (stack keys exactly, self-times by invariant);
+//! * the folded-stack profile of a deterministic nested-span program,
+//!   folded from the trace tree, is pinned (stack keys exactly,
+//!   self-times by invariant);
 //! * a full `RunOpts` round trip with `--serve 127.0.0.1:0` and
 //!   `--profile-out` answers `/metrics` mid-run and leaves a
 //!   `profile.folded` behind;
+//! * with `--profile-out`, fan-out workers fold under the span that
+//!   fanned them out, and that span's join wait counts as blocked, not
+//!   self;
 //! * the `/events` SSE stream's chunked framing is pinned byte-for-byte,
 //!   a stalled client loses frames (counted) instead of growing server
 //!   memory, `/runs?tail=N` clamps, `/dashboard` and `/history` serve,
@@ -17,7 +21,7 @@ use aml_bench::RunOpts;
 use aml_telemetry::ledger::{self, LedgerEvent};
 use aml_telemetry::registry::{HistSnapshot, Snapshot, SpanSnapshot, HIST_BUCKETS};
 use aml_telemetry::sink::RunHeader;
-use aml_telemetry::{profile, serve, set_level, TelemetryLevel};
+use aml_telemetry::{profile, serve, set_level, tracetree, TelemetryLevel, TraceContext};
 use std::io::{Read as _, Write as _};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -90,8 +94,8 @@ fn folded_profile_of_a_deterministic_program_is_pinned() {
     let _guard = hold();
     set_level(TelemetryLevel::Summary);
     aml_telemetry::global().reset();
-    profile::reset();
-    profile::set_active(true);
+    tracetree::reset();
+    tracetree::set_active(true);
     {
         let _root = aml_telemetry::span!("golden.root");
         for _ in 0..3 {
@@ -100,10 +104,11 @@ fn folded_profile_of_a_deterministic_program_is_pinned() {
         }
         let _solo = aml_telemetry::span!("golden.solo");
     }
-    profile::set_active(false);
+    tracetree::set_active(false);
 
     // The set of stacks (and their call counts) is fully deterministic.
-    let entries = profile::entries();
+    let nodes = tracetree::entries();
+    let entries = profile::fold(&nodes);
     let keyed: Vec<(&str, u64)> = entries.iter().map(|(k, s)| (k.as_str(), s.calls)).collect();
     assert_eq!(
         keyed,
@@ -114,20 +119,15 @@ fn folded_profile_of_a_deterministic_program_is_pinned() {
             ("golden.root;golden.solo", 1),
         ]
     );
-    // Exclusive accounting partitions the root: self-times can never sum
-    // past the root span's total wall time.
-    let snap = aml_telemetry::global().snapshot();
-    let root_total = snap
-        .spans
+    // Exclusive accounting partitions the root: with serial children the
+    // self-times sum to exactly the root node's total wall time.
+    let root_total = nodes
         .iter()
-        .find(|s| s.name == "golden.root")
+        .find(|n| n.name == "golden.root")
         .unwrap()
         .total_ns;
     let self_sum: u64 = entries.iter().map(|(_, s)| s.self_ns).sum();
-    assert!(
-        self_sum <= root_total,
-        "self {self_sum} > root {root_total}"
-    );
+    assert_eq!(self_sum, root_total);
 
     // The folded rendering itself is pinned byte-for-byte on fixed stats.
     let fixed = vec![
@@ -135,6 +135,7 @@ fn folded_profile_of_a_deterministic_program_is_pinned() {
             "golden.root".to_string(),
             profile::StackStat {
                 self_ns: 1_999_999,
+                blocked_ns: 0,
                 calls: 1,
             },
         ),
@@ -142,6 +143,7 @@ fn folded_profile_of_a_deterministic_program_is_pinned() {
             "golden.root;golden.mid".to_string(),
             profile::StackStat {
                 self_ns: 3_000_000,
+                blocked_ns: 0,
                 calls: 3,
             },
         ),
@@ -151,9 +153,78 @@ fn folded_profile_of_a_deterministic_program_is_pinned() {
         "golden.root 1999\ngolden.root;golden.mid 3000\n"
     );
 
-    profile::reset();
+    tracetree::reset();
     set_level(TelemetryLevel::Off);
     aml_telemetry::global().reset();
+}
+
+#[test]
+fn profile_out_folds_fan_out_workers_under_their_caller() {
+    let _guard = hold();
+    let dir = std::env::temp_dir().join(format!("aml_profile_fanout_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let folded_path = dir.join("profile.folded");
+    let args: Vec<String> = ["--profile-out", &folded_path.to_string_lossy()]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+    let mut opts = RunOpts::parse_from(&args).unwrap().unwrap();
+    opts.workload = "profile_fanout_test".into();
+    opts.out_dir = dir.clone();
+    opts.prepare().expect("prepare arms the trace tree");
+    assert!(tracetree::active(), "--profile-out must arm the collector");
+
+    // One span fans four 15 ms sleeps out over two workers and joins.
+    let items = [15u64; 4];
+    {
+        let _parent = aml_telemetry::span!("fanout.parent");
+        let ctx = TraceContext::current();
+        aml_telemetry::fan_out(&items, 2, |i, &ms| {
+            let _handoff = ctx.attach(i as u64);
+            let _child = aml_telemetry::span!("fanout.child");
+            std::thread::sleep(std::time::Duration::from_millis(ms));
+        })
+        .unwrap();
+    }
+    let parent_total = aml_telemetry::global()
+        .snapshot()
+        .spans
+        .iter()
+        .find(|s| s.name == "fanout.parent")
+        .unwrap()
+        .total_ns;
+    opts.finish();
+    assert!(!tracetree::active(), "finish must disarm the collector");
+
+    let folded = std::fs::read_to_string(&folded_path).expect("profile.folded");
+    let self_us = |stack: &str| {
+        folded
+            .lines()
+            .find_map(|l| l.strip_prefix(stack)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no stack {stack:?} in:\n{folded}"))
+            .parse::<u64>()
+            .unwrap()
+    };
+    // The workers nest under their caller; no worker is a root.
+    assert!(
+        self_us("fanout.parent;fanout.child") >= 4 * 15_000,
+        "{folded}"
+    );
+    assert!(
+        !folded.lines().any(|l| l.starts_with("fanout.child")),
+        "{folded}"
+    );
+    // The join wait is blocked time, not the fan-out span's own.
+    let parent_self_ns = self_us("fanout.parent") * 1_000;
+    assert!(
+        parent_self_ns * 10 < parent_total,
+        "self {parent_self_ns} ns of {parent_total} ns:\n{folded}"
+    );
+
+    tracetree::reset();
+    set_level(TelemetryLevel::Off);
+    aml_telemetry::global().reset();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn http_get(addr: &str, path: &str) -> String {
@@ -235,8 +306,7 @@ fn serve_and_profile_flags_round_trip_through_runopts() {
     let folded = std::fs::read_to_string(dir.join("profile.folded")).expect("profile.folded");
     assert!(folded.contains("bench.datagen;bench.inner"), "{folded}");
 
-    profile::set_active(false);
-    profile::reset();
+    tracetree::reset();
     set_level(TelemetryLevel::Off);
     aml_telemetry::global().reset();
     std::fs::remove_dir_all(&dir).ok();

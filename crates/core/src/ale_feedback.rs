@@ -92,8 +92,9 @@ impl Default for AleFeedback {
     }
 }
 
-/// The q-th quantile of all (feature, grid-point) std values.
-fn quantile_std(bands: &[AleBand], q: f64) -> Result<f64> {
+/// The q-th quantile of all (feature, grid-point) std values
+/// ([`ThresholdRule::MedianStd`] is `q = 0.5`); errs when there are none.
+pub fn quantile_std(bands: &[AleBand], q: f64) -> Result<f64> {
     let mut all: Vec<f64> = bands.iter().flat_map(|b| b.std.iter().copied()).collect();
     if all.is_empty() {
         return Err(CoreError::InvalidParameter("no std values computed".into()));

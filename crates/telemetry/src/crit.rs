@@ -3,21 +3,25 @@
 //! Consumes the [`crate::tracetree`] nodes plus a registry
 //! [`Snapshot`] and answers three questions the flat views cannot:
 //!
-//! 1. **What is the critical path?** The longest dependency chain
-//!    through the tree — starting from the dominant top-level phase and
-//!    greedily descending into the costliest child. Each chain segment
-//!    is charged its *contribution* (its total minus the descended
-//!    child's total), so the segment contributions sum to the dominant
-//!    phase's total and never exceed the run's wall time.
-//! 2. **How much of each phase is parallelizable?** Per phase, `work`
-//!    is the summed self time of the subtree and `ideal` is the
-//!    best-case chain length when every `parallel`-marked fan-out (the
-//!    [`crate::tracetree::TraceContext`] handoff roots) runs with
-//!    unlimited workers: `ideal = self + Σ serial children + max over
-//!    parallel children`. Amdahl's law then gives
-//!    `serial_fraction = ideal / work` and the speedup ceiling
-//!    `max_speedup = work / ideal` — the number to compare before and
-//!    after a parallelism PR.
+//! 1. **How much of each phase is parallelizable?** Every span's wall
+//!    time splits three ways ([`Tree::self_time`], the one self-time
+//!    rule, shared with the folded profile in [`crate::profile`]):
+//!    *self* (covered by no child), *blocked* (covered only by
+//!    `parallel` handoff children — waiting on a fan-out) and the union
+//!    of its serial children. Per phase, `work` is the summed self time
+//!    of the subtree and `ideal` is the best-case chain length when
+//!    every fan-out (the [`crate::tracetree::TraceContext`] handoff
+//!    roots) runs with unlimited workers: `ideal = self + Σ ideal of
+//!    serial children + max ideal over parallel children`. Amdahl's law
+//!    then gives `serial_fraction = ideal / work` and the speedup
+//!    ceiling `max_speedup = work / ideal` — the number to compare
+//!    before and after a parallelism PR.
+//! 2. **What is the critical path?** The subtree that realizes the
+//!    dominant phase's `ideal`: every serial child of a segment is on
+//!    the path, plus the one parallel child with the largest `ideal`.
+//!    Segments are listed in pre-order and each is charged its self
+//!    time, so the contributions sum to exactly the dominant phase's
+//!    `ideal`. [`CritReport::top_segments`] picks the few that matter.
 //! 3. **Is the run CPU-bound?** Wall time versus the `/proc` sampler's
 //!    `proc.cpu_user_ms + proc.cpu_sys_ms` gauges, when present.
 //!
@@ -32,23 +36,24 @@
 use crate::json::{number, Precision::Fixed};
 use crate::registry::Snapshot;
 use crate::tracetree::{Node, SpanId};
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 /// Schema version stamped into `crit.json`.
 pub const CRIT_SCHEMA_VERSION: u32 = 1;
 
-/// One segment of the critical path, outermost first.
+/// One segment of the critical path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Segment {
     /// Span name.
     pub name: String,
     /// Structural span id (see [`crate::tracetree`]).
     pub id: SpanId,
-    /// Depth along the chain (0 = the dominant phase).
+    /// Depth below the dominant phase (0 = the phase itself).
     pub depth: usize,
     /// The span's total wall time, ns.
     pub total_ns: u64,
-    /// Chain contribution: total minus the descended child's total, ns.
+    /// The span's self time ([`Tree::self_time`]), ns.
     pub contribution_ns: u64,
     /// Whether the segment is a handoff (fan-out) root.
     pub parallel: bool,
@@ -101,9 +106,9 @@ pub struct CritReport {
     pub cpu_ns: Option<u64>,
     /// Dominant top-level phase (longest total), empty when no nodes.
     pub dominant_phase: String,
-    /// Summed chain contributions (= the dominant phase's total), ns.
+    /// Summed path contributions (= the dominant phase's `ideal`), ns.
     pub critical_path_ns: u64,
-    /// The chain, outermost segment first.
+    /// The path's segments in pre-order, the dominant phase first.
     pub path: Vec<Segment>,
     /// Per-phase Amdahl accounting, in phase start order.
     pub phases: Vec<PhaseStat>,
@@ -117,6 +122,95 @@ pub struct CritReport {
     pub nodes_dropped: u64,
 }
 
+/// The recorded nodes indexed as a tree: child indices per node and
+/// the root indices, each in start order (ties by name, then id). A node
+/// whose parent was not recorded (dropped at the cap, or a detached
+/// worker lane) is a root.
+pub(crate) struct Tree<'a> {
+    pub(crate) nodes: &'a [Node],
+    pub(crate) children: Vec<Vec<usize>>,
+    pub(crate) roots: Vec<usize>,
+}
+
+/// How a span's wall time splits beside the union of its serial
+/// children (see [`Tree::self_time`]): `self_ns` is covered by no child,
+/// `blocked_ns` only by `parallel` (handoff) children — waiting on a
+/// fan-out.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SelfTime {
+    pub(crate) self_ns: u64,
+    pub(crate) blocked_ns: u64,
+}
+
+impl<'a> Tree<'a> {
+    /// Index `nodes` (any order).
+    pub(crate) fn new(nodes: &'a [Node]) -> Tree<'a> {
+        let by_id: HashMap<SpanId, usize> =
+            nodes.iter().enumerate().map(|(i, n)| (n.id, i)).collect();
+        let mut children = vec![Vec::new(); nodes.len()];
+        let mut roots = Vec::new();
+        for (i, n) in nodes.iter().enumerate() {
+            match by_id.get(&n.parent) {
+                Some(&p) if n.parent != 0 && p != i => children[p].push(i),
+                _ => roots.push(i),
+            }
+        }
+        let order = |&i: &usize| (nodes[i].start_ns, nodes[i].name.as_str(), nodes[i].id);
+        for kids in &mut children {
+            kids.sort_by_key(order);
+        }
+        roots.sort_by_key(order);
+        Tree {
+            nodes,
+            children,
+            roots,
+        }
+    }
+
+    /// Every node index in pre-order: each root, then its subtree, in
+    /// start order.
+    pub(crate) fn preorder(&self) -> Vec<usize> {
+        let mut out = Vec::with_capacity(self.nodes.len());
+        let mut stack: Vec<usize> = self.roots.iter().rev().copied().collect();
+        while let Some(i) = stack.pop() {
+            out.push(i);
+            stack.extend(self.children[i].iter().rev());
+        }
+        out
+    }
+
+    /// The one self-time rule. `self` is the node's interval minus the
+    /// union of all its children's intervals; `blocked` is the part
+    /// covered by `parallel` children and by no serial child. So
+    /// `self + blocked + |union of serial children| = total`. For serial
+    /// children that do not overlap, `self` is total minus their totals.
+    pub(crate) fn self_time(&self, i: usize) -> SelfTime {
+        let node = &self.nodes[i];
+        // Children arrive in start order, so one sweep merges each union.
+        let union = |serial_only: bool| {
+            let (mut covered, mut reach) = (0u64, node.start_ns);
+            for &k in &self.children[i] {
+                let kid = &self.nodes[k];
+                if serial_only && kid.parallel {
+                    continue;
+                }
+                let end = kid.end_ns().min(node.end_ns());
+                let start = kid.start_ns.max(reach);
+                if end > start {
+                    covered += end - start;
+                    reach = end;
+                }
+            }
+            covered
+        };
+        let all = union(false);
+        SelfTime {
+            self_ns: node.total_ns.saturating_sub(all),
+            blocked_ns: all.saturating_sub(union(true)),
+        }
+    }
+}
+
 /// Analyze `nodes` (any order) against `snapshot`. Pure; deterministic
 /// for deterministic inputs (ties broken by name, then id).
 pub fn analyze(nodes: &[Node], snapshot: &Snapshot) -> CritReport {
@@ -125,64 +219,32 @@ pub fn analyze(nodes: &[Node], snapshot: &Snapshot) -> CritReport {
 
 /// [`analyze`], recording how many nodes the collector dropped.
 pub fn analyze_with_drops(nodes: &[Node], snapshot: &Snapshot, dropped: u64) -> CritReport {
-    let by_id: HashMap<SpanId, usize> = nodes.iter().enumerate().map(|(i, n)| (n.id, i)).collect();
-    let mut children: HashMap<SpanId, Vec<usize>> = HashMap::new();
-    let mut roots: Vec<usize> = Vec::new();
-    for (i, n) in nodes.iter().enumerate() {
-        if n.parent != 0 && by_id.contains_key(&n.parent) && n.parent != n.id {
-            children.entry(n.parent).or_default().push(i);
-        } else {
-            roots.push(i);
-        }
-    }
-    let order = |a: &usize, b: &usize| {
-        let (x, y) = (&nodes[*a], &nodes[*b]);
-        x.start_ns
-            .cmp(&y.start_ns)
-            .then_with(|| x.name.cmp(&y.name))
-            .then(x.id.cmp(&y.id))
-    };
-    for kids in children.values_mut() {
-        kids.sort_by(order);
-    }
-    roots.sort_by(order);
+    let tree = Tree::new(nodes);
+    let roots = &tree.roots;
 
-    // Post-order work/ideal/subtree-size per node.
+    // Post-order (reverse pre-order) work/ideal/subtree-size per node;
+    // each node's best parallel child is kept for the path walk.
     let mut work = vec![0u64; nodes.len()];
     let mut ideal = vec![0u64; nodes.len()];
     let mut size = vec![0u64; nodes.len()];
-    fn compute(
-        i: usize,
-        nodes: &[Node],
-        children: &HashMap<SpanId, Vec<usize>>,
-        work: &mut [u64],
-        ideal: &mut [u64],
-        size: &mut [u64],
-    ) {
-        let kids: &[usize] = children.get(&nodes[i].id).map_or(&[], |v| v.as_slice());
-        let (mut child_total, mut child_work, mut serial_ideal, mut par_max) =
-            (0u64, 0u64, 0u64, 0u64);
-        let mut subtree = 1u64;
-        for &k in kids {
-            compute(k, nodes, children, work, ideal, size);
-            child_total = child_total.saturating_add(nodes[k].total_ns);
-            child_work = child_work.saturating_add(work[k]);
-            if nodes[k].parallel {
-                par_max = par_max.max(ideal[k]);
-            } else {
-                serial_ideal = serial_ideal.saturating_add(ideal[k]);
-            }
+    let mut best_parallel: Vec<Option<usize>> = vec![None; nodes.len()];
+    for i in tree.preorder().into_iter().rev() {
+        let own = tree.self_time(i).self_ns;
+        let (mut w, mut serial_ideal, mut subtree) = (own, 0u64, 1u64);
+        for &k in &tree.children[i] {
+            w = w.saturating_add(work[k]);
             subtree += size[k];
+            if !nodes[k].parallel {
+                serial_ideal = serial_ideal.saturating_add(ideal[k]);
+            } else if best_parallel[i].is_none_or(|b| ideal[k] > ideal[b]) {
+                // Strictly greater: ties keep the earliest child.
+                best_parallel[i] = Some(k);
+            }
         }
-        // Self time saturates at 0 when parallel children overlap the
-        // parent's wall clock.
-        let self_ns = nodes[i].total_ns.saturating_sub(child_total);
-        work[i] = self_ns.saturating_add(child_work);
-        ideal[i] = self_ns.saturating_add(serial_ideal).saturating_add(par_max);
+        let par_ideal = best_parallel[i].map_or(0, |b| ideal[b]);
+        work[i] = w;
+        ideal[i] = own.saturating_add(serial_ideal).saturating_add(par_ideal);
         size[i] = subtree;
-    }
-    for &r in &roots {
-        compute(r, nodes, &children, &mut work, &mut ideal, &mut size);
     }
 
     let phase_stat = |name: &str, total: u64, w: u64, i: u64, spans: u64| PhaseStat {
@@ -219,44 +281,30 @@ pub fn analyze_with_drops(nodes: &[Node], snapshot: &Snapshot, dropped: u64) -> 
     });
     let amdahl = phase_stat("run", wall_ns, run_work, run_ideal, run_spans);
 
-    // Greedy chain descent from the dominant phase.
-    let dominant = roots.iter().copied().max_by(|a, b| {
-        nodes[*a]
-            .total_ns
-            .cmp(&nodes[*b].total_ns)
-            .then_with(|| nodes[*b].name.cmp(&nodes[*a].name))
-            .then(nodes[*b].id.cmp(&nodes[*a].id))
+    // The path: from the dominant phase, every serial child plus the
+    // best parallel child, in pre-order.
+    let dominant = roots.iter().copied().max_by_key(|&r| {
+        let n = &nodes[r];
+        (n.total_ns, Reverse(n.name.as_str()), Reverse(n.id))
     });
     let mut path = Vec::new();
-    let mut critical_path_ns = 0u64;
-    if let Some(mut cur) = dominant {
-        for depth in 0..64 {
-            let next = children.get(&nodes[cur].id).and_then(|kids| {
-                kids.iter().copied().max_by(|a, b| {
-                    nodes[*a]
-                        .total_ns
-                        .cmp(&nodes[*b].total_ns)
-                        .then_with(|| nodes[*b].name.cmp(&nodes[*a].name))
-                        .then(nodes[*b].id.cmp(&nodes[*a].id))
-                })
-            });
-            let descended_ns = next.map_or(0, |n| nodes[n].total_ns);
-            let contribution_ns = nodes[cur].total_ns.saturating_sub(descended_ns);
-            path.push(Segment {
-                name: nodes[cur].name.clone(),
-                id: nodes[cur].id,
-                depth,
-                total_ns: nodes[cur].total_ns,
-                contribution_ns,
-                parallel: nodes[cur].parallel,
-            });
-            critical_path_ns = critical_path_ns.saturating_add(contribution_ns);
-            match next {
-                Some(n) => cur = n,
-                None => break,
-            }
-        }
+    let mut stack: Vec<(usize, usize)> = dominant.map(|d| (d, 0)).into_iter().collect();
+    while let Some((i, depth)) = stack.pop() {
+        path.push(Segment {
+            name: nodes[i].name.clone(),
+            id: nodes[i].id,
+            depth,
+            total_ns: nodes[i].total_ns,
+            contribution_ns: tree.self_time(i).self_ns,
+            parallel: nodes[i].parallel,
+        });
+        let on_path = tree.children[i]
+            .iter()
+            .rev()
+            .filter(|&&k| !nodes[k].parallel || best_parallel[i] == Some(k));
+        stack.extend(on_path.map(|&k| (k, depth + 1)));
     }
+    let critical_path_ns = dominant.map_or(0, |d| ideal[d]);
 
     let gauge = |name: &str| {
         snapshot
@@ -305,6 +353,17 @@ pub fn analyze_with_drops(nodes: &[Node], snapshot: &Snapshot, dropped: u64) -> 
 }
 
 impl CritReport {
+    /// The `n` path segments with the largest contribution, largest
+    /// first (ties keep path order). The path can run to hundreds of
+    /// segments; this is the part the stderr table, the `amlreport` SVG
+    /// and `perfgate`'s verdict show.
+    pub fn top_segments(&self, n: usize) -> Vec<&Segment> {
+        let mut top: Vec<&Segment> = self.path.iter().collect();
+        top.sort_by_key(|s| Reverse(s.contribution_ns));
+        top.truncate(n);
+        top
+    }
+
     /// Render as one JSON line (plus trailing newline). Field order and
     /// formatting are pinned by a golden test; `/crit` serves exactly
     /// this for an active collector.
@@ -414,21 +473,23 @@ impl CritReport {
             out.push_str("  (no spans recorded)\n");
             return out;
         }
-        out.push_str(&format!("  dominant phase: {}\n", self.dominant_phase));
+        let top = self.top_segments(10);
         out.push_str(&format!(
-            "  {:<46} {:>10} {:>10}\n",
-            "chain segment", "total", "contrib"
+            "  dominant phase: {} (path of {} segments, top {} by self time)\n",
+            self.dominant_phase,
+            self.path.len(),
+            top.len()
         ));
-        for s in &self.path {
-            let label = format!(
-                "{}{}{}",
-                " ".repeat(s.depth),
-                s.name,
-                if s.parallel { " [par]" } else { "" }
-            );
+        out.push_str(&format!(
+            "  {:<46} {:>5} {:>10} {:>10}\n",
+            "path segment", "depth", "total", "contrib"
+        ));
+        for s in top {
+            let label = format!("{}{}", s.name, if s.parallel { " [par]" } else { "" });
             out.push_str(&format!(
-                "  {:<46} {:>10} {:>10}\n",
+                "  {:<46} {:>5} {:>10} {:>10}\n",
                 label,
+                s.depth,
                 fmt_ns(s.total_ns),
                 fmt_ns(s.contribution_ns),
             ));
@@ -468,30 +529,25 @@ pub fn live_json() -> String {
     if nodes.is_empty() && !crate::tracetree::active() {
         return "{\"active\":false}\n".to_string();
     }
-    analyze_with_drops(
-        &nodes,
-        &crate::global().snapshot(),
-        crate::tracetree::dropped(),
-    )
-    .render_json()
+    live_report(&nodes).render_json()
 }
 
 /// Write the report for the current collector state to `path` and return
 /// the rendered report for further display.
 pub fn write_json(path: &std::path::Path) -> std::io::Result<CritReport> {
-    let nodes = crate::tracetree::entries();
-    let report = analyze_with_drops(
-        &nodes,
-        &crate::global().snapshot(),
-        crate::tracetree::dropped(),
-    );
+    let report = live_report(&crate::tracetree::entries());
     std::fs::write(path, report.render_json())?;
     Ok(report)
 }
 
-/// `1.23s` / `56.7ms` / `89µs` — compact duration (shared shape with the
-/// profiler's table).
-fn fmt_ns(ns: u64) -> String {
+fn live_report(nodes: &[Node]) -> CritReport {
+    let dropped = crate::tracetree::dropped();
+    analyze_with_drops(nodes, &crate::global().snapshot(), dropped)
+}
+
+/// `1.23s` / `56.7ms` / `89µs` — compact duration for the crit and
+/// self-time tables.
+pub(crate) fn fmt_ns(ns: u64) -> String {
     let s = ns as f64 / 1e9;
     if s >= 1.0 {
         format!("{s:.2}s")
@@ -542,23 +598,85 @@ mod tests {
     }
 
     #[test]
-    fn chain_contributions_sum_to_dominant_and_stay_under_wall() {
+    fn path_contributions_sum_to_the_dominant_ideal_and_stay_under_wall() {
         let report = analyze(&fixture(), &empty_snapshot());
         assert_eq!(report.wall_ns, 3_000_000);
         assert_eq!(report.dominant_phase, "bench.datagen");
-        // Chain: datagen -> labeling -> scenario#22 (largest).
+        // Path: datagen -> labeling (serial) -> scenario#22 (the larger
+        // of the two parallel scenarios).
         let names: Vec<&str> = report.path.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(
             names,
             vec!["bench.datagen", "netsim.labeling", "netsim.scenario"]
         );
-        assert_eq!(report.critical_path_ns, 2_000_000);
+        assert_eq!(report.path[2].id, 22);
+        assert_eq!(report.critical_path_ns, report.phases[0].ideal_ns);
+        assert_eq!(report.critical_path_ns, 1_990_000);
         assert!(report.critical_path_ns <= report.wall_ns);
         let sum: u64 = report.path.iter().map(|s| s.contribution_ns).sum();
         assert_eq!(sum, report.critical_path_ns);
         assert_eq!(report.path[0].contribution_ns, 400_000); // 2.0ms - 1.6ms
-        assert_eq!(report.path[1].contribution_ns, 800_000); // 1.6ms - 0.8ms
+                                                             // 1.6ms minus the scenarios' union [0.11, 0.92]ms.
+        assert_eq!(report.path[1].contribution_ns, 790_000);
         assert_eq!(report.path[2].contribution_ns, 800_000); // leaf keeps total
+    }
+
+    #[test]
+    fn self_time_splits_total_into_self_blocked_and_serial() {
+        // One serial child, two overlapping parallel children, and a gap
+        // at the end that no child covers.
+        let nodes = vec![
+            node(1, 0, "parent", 0, 100, false),
+            node(2, 1, "serial", 0, 30, false),
+            node(3, 1, "par", 20, 40, true),
+            node(4, 1, "par", 50, 40, true),
+        ];
+        let tree = Tree::new(&nodes);
+        let parent = tree.roots[0];
+        let split = tree.self_time(parent);
+        // The gap [90, 100).
+        assert_eq!(split.self_ns, 10);
+        // Parallel union [20, 90) minus the serial child's [20, 30).
+        assert_eq!(split.blocked_ns, 60);
+        let serial_union = 30;
+        assert_eq!(split.self_ns + split.blocked_ns + serial_union, 100);
+        // Leaves are all self.
+        for &k in &tree.children[parent] {
+            assert_eq!(tree.self_time(k).self_ns, nodes[k].total_ns);
+            assert_eq!(tree.self_time(k).blocked_ns, 0);
+        }
+    }
+
+    #[test]
+    fn every_serial_child_is_on_the_path() {
+        // Three serial children; the middle one fans out two workers.
+        let nodes = vec![
+            node(1, 0, "phase", 0, 100, false),
+            node(2, 1, "a", 0, 20, false),
+            node(3, 1, "b", 25, 25, false),
+            node(31, 3, "w", 26, 20, true),
+            node(32, 3, "w", 26, 10, true),
+            node(4, 1, "c", 55, 35, false),
+        ];
+        let report = analyze(&nodes, &empty_snapshot());
+        let ids: Vec<SpanId> = report.path.iter().map(|s| s.id).collect();
+        assert_eq!(ids, vec![1, 2, 3, 31, 4], "pre-order, one worker");
+        let depths: Vec<usize> = report.path.iter().map(|s| s.depth).collect();
+        assert_eq!(depths, vec![0, 1, 1, 2, 1]);
+        let sum: u64 = report.path.iter().map(|s| s.contribution_ns).sum();
+        assert_eq!(sum, report.phases[0].ideal_ns);
+        assert_eq!(report.critical_path_ns, report.phases[0].ideal_ns);
+        // phase self 20 + a 20 + b self 5 + worker 20 + c 35.
+        assert_eq!(report.critical_path_ns, 100);
+        assert_eq!(report.phases[0].work_ns, 110);
+    }
+
+    #[test]
+    fn top_segments_rank_by_contribution() {
+        let report = analyze(&fixture(), &empty_snapshot());
+        let top: Vec<SpanId> = report.top_segments(2).iter().map(|s| s.id).collect();
+        assert_eq!(top, vec![22, 11]);
+        assert_eq!(report.top_segments(10).len(), report.path.len());
     }
 
     #[test]
@@ -566,10 +684,10 @@ mod tests {
         let report = analyze(&fixture(), &empty_snapshot());
         let datagen = &report.phases[0];
         assert_eq!(datagen.name, "bench.datagen");
-        // Work: datagen self 0.4 + labeling self 0.1 + scenarios 1.5 = 2.0ms.
-        assert_eq!(datagen.work_ns, 2_000_000);
-        // Ideal: datagen self 0.4 + labeling self 0.1 + max scenario 0.8.
-        assert_eq!(datagen.ideal_ns, 1_300_000);
+        // Work: datagen self 0.4 + labeling self 0.79 + scenarios 1.5.
+        assert_eq!(datagen.work_ns, 2_690_000);
+        // Ideal: datagen self 0.4 + labeling self 0.79 + max scenario 0.8.
+        assert_eq!(datagen.ideal_ns, 1_990_000);
         assert!(datagen.serial_fraction < 1.0);
         assert!(datagen.max_speedup > 1.0);
         // The strategies phase has no children: fully serial.
@@ -577,8 +695,8 @@ mod tests {
         assert_eq!(strategies.serial_fraction, 1.0);
         assert_eq!(strategies.max_speedup, 1.0);
         // Run totals cover both phases.
-        assert_eq!(report.amdahl.work_ns, 3_000_000);
-        assert_eq!(report.amdahl.ideal_ns, 2_300_000);
+        assert_eq!(report.amdahl.work_ns, 3_690_000);
+        assert_eq!(report.amdahl.ideal_ns, 2_990_000);
     }
 
     #[test]
@@ -635,16 +753,16 @@ mod tests {
             concat!(
                 "{\"active\":true,\"schema_version\":1,\"wall_ns\":3000000,",
                 "\"cpu_ns\":null,\"cpu_wall_ratio\":null,",
-                "\"dominant_phase\":\"bench.datagen\",\"critical_path_ns\":2000000,",
+                "\"dominant_phase\":\"bench.datagen\",\"critical_path_ns\":1990000,",
                 "\"critical_path\":[",
                 "{\"name\":\"bench.datagen\",\"id\":\"10\",\"depth\":0,\"total_ns\":2000000,\"contribution_ns\":400000,\"parallel\":false},",
-                "{\"name\":\"netsim.labeling\",\"id\":\"11\",\"depth\":1,\"total_ns\":1600000,\"contribution_ns\":800000,\"parallel\":false},",
+                "{\"name\":\"netsim.labeling\",\"id\":\"11\",\"depth\":1,\"total_ns\":1600000,\"contribution_ns\":790000,\"parallel\":false},",
                 "{\"name\":\"netsim.scenario\",\"id\":\"22\",\"depth\":2,\"total_ns\":800000,\"contribution_ns\":800000,\"parallel\":true}",
                 "],\"phases\":[",
-                "{\"name\":\"bench.datagen\",\"total_ns\":2000000,\"work_ns\":2000000,\"ideal_ns\":1300000,\"serial_fraction\":0.650000,\"max_speedup\":1.538462,\"subtree_spans\":4},",
+                "{\"name\":\"bench.datagen\",\"total_ns\":2000000,\"work_ns\":2690000,\"ideal_ns\":1990000,\"serial_fraction\":0.739777,\"max_speedup\":1.351759,\"subtree_spans\":4},",
                 "{\"name\":\"bench.strategies\",\"total_ns\":1000000,\"work_ns\":1000000,\"ideal_ns\":1000000,\"serial_fraction\":1.000000,\"max_speedup\":1.000000,\"subtree_spans\":1}",
                 "],\"amdahl\":",
-                "{\"name\":\"run\",\"total_ns\":3000000,\"work_ns\":3000000,\"ideal_ns\":2300000,\"serial_fraction\":0.766667,\"max_speedup\":1.304348,\"subtree_spans\":5}",
+                "{\"name\":\"run\",\"total_ns\":3000000,\"work_ns\":3690000,\"ideal_ns\":2990000,\"serial_fraction\":0.810298,\"max_speedup\":1.234114,\"subtree_spans\":5}",
                 ",\"scenarios\":null,\"nodes\":5,\"nodes_dropped\":0}\n",
             )
         );

@@ -43,16 +43,20 @@
 //!   `/quality`;
 //! * a **resource sampler** ([`resource`]): `/proc/self` readings
 //!   published as `proc.*` gauges ([`gauge_set`]), no-op off Linux;
-//! * a **self-time profiler** ([`profile`], behind `--profile-out`):
-//!   exclusive per-span-stack wall time written as collapsed-stack
-//!   folded output, directly loadable by flamegraph tooling;
-//! * **causal trace trees** ([`tracetree`], behind `--crit-out`): every
-//!   span gets a deterministic structural id and parent link — across
+//! * **causal trace trees** ([`tracetree`], behind `--crit-out` or
+//!   `--profile-out`), the one span-tree collector: every span gets a
+//!   deterministic structural id and parent link — across
 //!   `std::thread::scope` workers via the explicit [`TraceContext`]
-//!   handoff — feeding the **critical-path analyzer** ([`crit`]):
-//!   longest dependency chain, per-phase serial-fraction / Amdahl
-//!   speedup ceiling, and wall-vs-CPU attribution, written as
-//!   `crit.json` and served live at `/crit`;
+//!   handoff. Two reports are derived from the nodes, through one
+//!   self-time rule that tells a span's own work from waiting on its
+//!   fan-out:
+//!   * the **self-time profile** ([`profile`], `--profile-out`): self
+//!     time per logical span stack as collapsed-stack folded output,
+//!     directly loadable by flamegraph tooling, plus a top table;
+//!   * the **critical-path analyzer** ([`crit`], `--crit-out`): the
+//!     serial work bounding the dominant phase, per-phase
+//!     serial-fraction / Amdahl speedup ceiling, and wall-vs-CPU
+//!     attribution, written as `crit.json` and served live at `/crit`;
 //! * optional **allocation tracking** ([`alloc`], behind the
 //!   `alloc-track` feature): a counting global allocator whose totals
 //!   land in `alloc.*` counters and per-span byte deltas.

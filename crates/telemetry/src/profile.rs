@@ -1,130 +1,73 @@
-//! Per-span *self-time* profiling with collapsed-stack (folded) output.
+//! Per-span *self-time* profile with collapsed-stack (folded) output,
+//! rendered from the causal trace tree ([`crate::tracetree`]).
 //!
 //! The registry's span aggregates answer "how long did `automl.search.run`
 //! take in total?" — but a span's total includes every child span nested
 //! inside it, so the totals cannot be compared to find the hot code. This
-//! module computes **exclusive** (self) time per span stack: the span's
-//! wall time minus the wall time of its direct children, attributed to the
-//! full `root;child;leaf` stack string. The result is written in the
-//! collapsed-stack "folded" format that flamegraph tooling
+//! module attributes each node's **self** time ([`Tree::self_time`]: its
+//! interval minus the union of its children's) to its logical stack —
+//! the `root;child;leaf` chain of parent links, handoffs included, so a
+//! worker's spans nest under the span that fanned them out. Time a span
+//! spends waiting on its fan-out is *blocked*, not self. The result is
+//! written in the collapsed-stack "folded" format that flamegraph tooling
 //! (`flamegraph.pl`, inferno, speedscope) loads directly:
 //!
 //! ```text
-//! bench.strategies;automl.search.run 184023
-//! bench.strategies;automl.search.run;core.strategy.refit[Cross-ALE] 9120
+//! bench.datagen;netsim.labeling;netsim.scenario;netsim.runner.label 853450
+//! bench.strategies;core.strategy.run[Cross-ALE] 8464
 //! ```
 //!
 //! (one line per distinct stack, value = self time in microseconds).
-//!
-//! Profiling rides on the existing span guards: [`crate::Span`] calls
-//! [`on_span_open`]/[`on_span_close`] only when the profiler is active, so
-//! with `--profile-out` unset the span hot path pays exactly one extra
-//! relaxed atomic load and nothing else (the crate's off-is-free rule).
-//! Stacks are tracked per thread; worker-thread spans form their own
-//! roots, exactly like per-thread lanes in the Chrome trace.
+//! `--profile-out` arms the tree collector; nothing else is collected.
 
-use std::cell::RefCell;
+use crate::crit::{fmt_ns, Tree};
+use crate::tracetree::Node;
 use std::collections::HashMap;
-use std::io::Write;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
-
-/// Whether self-time profiling is collecting. One relaxed load on the
-/// span hot path.
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-
-/// Turn the profiler on or off (typically once, from CLI parsing, before
-/// any spans open).
-pub fn set_active(on: bool) {
-    ACTIVE.store(on, Ordering::Release);
-}
-
-/// Whether the profiler is collecting (one relaxed atomic load).
-#[inline]
-pub fn active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
-}
-
-/// One open span on this thread's profile stack.
-struct Frame {
-    name: String,
-    /// Total wall time of already-closed direct children, in ns.
-    child_ns: u64,
-}
-
-thread_local! {
-    static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
-}
 
 /// Aggregated profile entry for one distinct span stack.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StackStat {
     /// Exclusive (self) wall time, in nanoseconds.
     pub self_ns: u64,
-    /// Number of times this exact stack closed.
+    /// Time spent waiting on parallel children, in nanoseconds.
+    pub blocked_ns: u64,
+    /// Number of spans with this exact stack.
     pub calls: u64,
 }
 
-fn stacks() -> &'static Mutex<HashMap<String, StackStat>> {
-    static STACKS: OnceLock<Mutex<HashMap<String, StackStat>>> = OnceLock::new();
-    STACKS.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Push `name` onto the calling thread's profile stack. Called from span
-/// open, only when [`active`].
-pub(crate) fn on_span_open(name: &str) {
-    STACK.with(|s| {
-        s.borrow_mut().push(Frame {
-            name: name.to_string(),
-            child_ns: 0,
-        })
-    });
-}
-
-/// Pop the top frame, attribute `total_ns` minus its children's time to
-/// the full stack string, and charge `total_ns` to the parent frame.
-/// Called from span drop, only for spans that pushed a frame.
-pub(crate) fn on_span_close(total_ns: u64) {
-    let entry = STACK.with(|s| {
-        let mut stack = s.borrow_mut();
-        let frame = stack.pop()?;
-        let self_ns = total_ns.saturating_sub(frame.child_ns);
-        let mut key = String::new();
-        for f in stack.iter() {
-            key.push_str(&f.name);
-            key.push(';');
+/// Fold `nodes` (any order) into `(stack, stat)` pairs, sorted by stack
+/// string for deterministic output.
+pub fn fold(nodes: &[Node]) -> Vec<(String, StackStat)> {
+    let tree = Tree::new(nodes);
+    // Distinct stacks, keyed by (parent stack, name): a node stores only
+    // its stack's index, never its own copy of the string.
+    let mut stacks: Vec<(String, StackStat)> = Vec::new();
+    let mut index: HashMap<(usize, &str), usize> = HashMap::new();
+    // The parent's stack index, set as the walk passes each parent.
+    let mut parent_stack = vec![usize::MAX; nodes.len()];
+    for i in tree.preorder() {
+        let parent = parent_stack[i];
+        let name = nodes[i].name.as_str();
+        let k = *index.entry((parent, name)).or_insert_with(|| {
+            let key = match stacks.get(parent) {
+                Some((prefix, _)) => format!("{prefix};{name}"),
+                None => name.to_string(),
+            };
+            stacks.push((key, StackStat::default()));
+            stacks.len() - 1
+        });
+        for &c in &tree.children[i] {
+            parent_stack[c] = k;
         }
-        key.push_str(&frame.name);
-        if let Some(parent) = stack.last_mut() {
-            parent.child_ns = parent.child_ns.saturating_add(total_ns);
-        }
-        Some((key, self_ns))
-    });
-    let Some((key, self_ns)) = entry else { return };
-    let mut map = stacks().lock().unwrap_or_else(PoisonError::into_inner);
-    let stat = map.entry(key).or_default();
-    stat.self_ns = stat.self_ns.saturating_add(self_ns);
-    stat.calls += 1;
-}
-
-/// Every aggregated `(stack, stat)` pair, sorted by stack string for
-/// deterministic output.
-pub fn entries() -> Vec<(String, StackStat)> {
-    let map = stacks().lock().unwrap_or_else(PoisonError::into_inner);
-    let mut out: Vec<(String, StackStat)> = map.iter().map(|(k, v)| (k.clone(), *v)).collect();
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
-/// Drop all aggregated stacks and this thread's open-frame stack (used
-/// between test cases and when a bin runs several independent phases).
-pub fn reset() {
-    stacks()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clear();
-    STACK.with(|s| s.borrow_mut().clear());
+        let split = tree.self_time(i);
+        let stat = &mut stacks[k].1;
+        stat.self_ns = stat.self_ns.saturating_add(split.self_ns);
+        stat.blocked_ns = stat.blocked_ns.saturating_add(split.blocked_ns);
+        stat.calls += 1;
+    }
+    stacks.sort_by(|a, b| a.0.cmp(&b.0));
+    stacks
 }
 
 /// Render `entries` in collapsed-stack folded format: one
@@ -141,77 +84,75 @@ pub fn render_folded(entries: &[(String, StackStat)]) -> String {
     out
 }
 
-/// Write the current profile to `path` in folded format.
-pub fn write_folded(path: &Path) -> std::io::Result<()> {
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(render_folded(&entries()).as_bytes())?;
-    file.flush()
+/// Fold the collected tree, write it to `path` in folded format, and
+/// return its top-10 table for the run summary.
+pub fn write_folded(path: &Path) -> std::io::Result<String> {
+    let entries = fold(&crate::tracetree::entries());
+    std::fs::write(path, render_folded(&entries))?;
+    Ok(render_top_table(&entries, 10, crate::tracetree::dropped()))
 }
 
-/// Self time aggregated per span *name* (summed over every stack whose
-/// leaf is that name), sorted descending — the "where did the time
-/// actually go" view. Returns `(name, self_ns, calls)`.
-pub fn top_self_time(entries: &[(String, StackStat)]) -> Vec<(String, u64, u64)> {
-    let mut by_leaf: HashMap<&str, (u64, u64)> = HashMap::new();
+/// Stats aggregated per span *name* (summed over every stack whose leaf
+/// is that name), sorted by self time descending — the "where did the
+/// time actually go" view.
+pub fn top_self_time(entries: &[(String, StackStat)]) -> Vec<(String, StackStat)> {
+    let mut by_leaf: HashMap<&str, StackStat> = HashMap::new();
     for (stack, stat) in entries {
         let leaf = stack.rsplit(';').next().unwrap_or(stack);
         let e = by_leaf.entry(leaf).or_default();
-        e.0 = e.0.saturating_add(stat.self_ns);
-        e.1 += stat.calls;
+        e.self_ns = e.self_ns.saturating_add(stat.self_ns);
+        e.blocked_ns = e.blocked_ns.saturating_add(stat.blocked_ns);
+        e.calls += stat.calls;
     }
-    let mut out: Vec<(String, u64, u64)> = by_leaf
+    let mut out: Vec<(String, StackStat)> = by_leaf
         .into_iter()
-        .map(|(name, (self_ns, calls))| (name.to_string(), self_ns, calls))
+        .map(|(name, stat)| (name.to_string(), stat))
         .collect();
-    out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    out.sort_by(|a, b| b.1.self_ns.cmp(&a.1.self_ns).then_with(|| a.0.cmp(&b.0)));
     out
 }
 
-/// Render the top-`n` self-time table shown in the run summary.
-pub fn render_top_table(entries: &[(String, StackStat)], n: usize) -> String {
+/// Render the top-`n` self-time table shown in the run summary, noting
+/// the `dropped` spans the collector's cap left out.
+pub fn render_top_table(entries: &[(String, StackStat)], n: usize, dropped: u64) -> String {
     let top = top_self_time(entries);
     if top.is_empty() {
         return String::new();
     }
-    let grand: u64 = top.iter().map(|(_, s, _)| *s).sum();
-    let mut out = String::from("self time (exclusive, from --profile-out):\n");
+    let grand: u64 = top.iter().map(|(_, s)| s.self_ns).sum();
+    let mut out = String::from("self time (exclusive, from the trace tree):\n");
     out.push_str(&format!(
-        "  {:<44} {:>7} {:>11} {:>6}\n",
-        "span", "calls", "self", "%"
+        "  {:<44} {:>7} {:>11} {:>11} {:>6}\n",
+        "span", "calls", "self", "blocked", "%"
     ));
-    for (name, self_ns, calls) in top.iter().take(n) {
+    for (name, stat) in top.iter().take(n) {
         let pct = if grand == 0 {
             0.0
         } else {
-            *self_ns as f64 * 100.0 / grand as f64
+            stat.self_ns as f64 * 100.0 / grand as f64
         };
         out.push_str(&format!(
-            "  {:<44} {:>7} {:>11} {:>5.1}%\n",
+            "  {:<44} {:>7} {:>11} {:>11} {:>5.1}%\n",
             name,
-            calls,
-            fmt_ns(*self_ns),
+            stat.calls,
+            fmt_ns(stat.self_ns),
+            fmt_ns(stat.blocked_ns),
             pct
+        ));
+    }
+    if dropped > 0 {
+        out.push_str(&format!(
+            "  ({dropped} spans closed after the {}-node cap and are missing; their recorded children fold as roots)\n",
+            crate::tracetree::MAX_NODES
         ));
     }
     out
 }
 
-/// `1.234s` / `56.7ms` / `89µs` — compact duration for the table.
-fn fmt_ns(ns: u64) -> String {
-    let s = ns as f64 / 1e9;
-    if s >= 1.0 {
-        format!("{s:.2}s")
-    } else if s >= 1e-3 {
-        format!("{:.1}ms", s * 1e3)
-    } else {
-        format!("{}µs", ns / 1_000)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{set_level, span, test_lock, TelemetryLevel};
+    use crate::{set_level, span, test_lock, tracetree, TelemetryLevel};
 
     fn run_nested_program() {
         let _root = span("test.profile.root");
@@ -228,12 +169,13 @@ mod tests {
         let _guard = test_lock::hold();
         set_level(TelemetryLevel::Summary);
         crate::global().reset();
-        reset();
-        set_active(true);
+        tracetree::reset();
+        tracetree::set_active(true);
         run_nested_program();
-        set_active(false);
+        tracetree::set_active(false);
 
-        let entries = entries();
+        let nodes = tracetree::entries();
+        let entries = fold(&nodes);
         let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(
             keys,
@@ -251,72 +193,61 @@ mod tests {
             2
         );
 
-        // Self times sum to the root span's total wall time: exclusive
-        // accounting partitions the root, it never double-counts.
-        let snap = crate::global().snapshot();
-        let root_total = snap
-            .spans
+        // Self times sum to the root node's total wall time: with serial
+        // children, exclusive accounting partitions the root exactly.
+        let root_total = nodes
             .iter()
-            .find(|s| s.name == "test.profile.root")
+            .find(|n| n.name == "test.profile.root")
             .unwrap()
             .total_ns;
         let self_sum: u64 = entries.iter().map(|(_, s)| s.self_ns).sum();
-        assert!(
-            self_sum <= root_total,
-            "self {self_sum} > root {root_total}"
-        );
-        // The root slept ~2ms outside its children.
+        assert_eq!(self_sum, root_total);
+        // The root slept ~2ms outside its children; nothing ran in
+        // parallel, so nothing was blocked.
         assert!(get("test.profile.root").self_ns >= 1_000_000);
+        assert!(entries.iter().all(|(_, s)| s.blocked_ns == 0));
 
-        reset();
+        tracetree::reset();
         set_level(TelemetryLevel::Off);
         crate::global().reset();
     }
 
     #[test]
-    fn inactive_profiler_collects_nothing() {
+    fn inactive_collector_folds_nothing() {
         let _guard = test_lock::hold();
         set_level(TelemetryLevel::Summary);
         crate::global().reset();
-        reset();
-        assert!(!active());
+        tracetree::reset();
+        assert!(!tracetree::active());
         run_nested_program();
-        assert!(entries().is_empty());
+        assert!(fold(&tracetree::entries()).is_empty());
+        assert_eq!(render_top_table(&[], 10, 0), "");
         set_level(TelemetryLevel::Off);
         crate::global().reset();
     }
 
     #[test]
     fn top_self_time_aggregates_by_leaf_and_sorts_desc() {
+        let stat = |self_ns, blocked_ns, calls| StackStat {
+            self_ns,
+            blocked_ns,
+            calls,
+        };
         let entries = vec![
-            (
-                "a".to_string(),
-                StackStat {
-                    self_ns: 5_000,
-                    calls: 1,
-                },
-            ),
-            (
-                "a;b".to_string(),
-                StackStat {
-                    self_ns: 100_000,
-                    calls: 3,
-                },
-            ),
-            (
-                "c;b".to_string(),
-                StackStat {
-                    self_ns: 50_000,
-                    calls: 2,
-                },
-            ),
+            ("a".to_string(), stat(5_000, 90_000, 1)),
+            ("a;b".to_string(), stat(100_000, 0, 3)),
+            ("c;b".to_string(), stat(50_000, 7_000, 2)),
         ];
         let top = top_self_time(&entries);
-        assert_eq!(top[0], ("b".to_string(), 150_000, 5));
-        assert_eq!(top[1], ("a".to_string(), 5_000, 1));
-        let table = render_top_table(&entries, 10);
+        assert_eq!(top[0], ("b".to_string(), stat(150_000, 7_000, 5)));
+        assert_eq!(top[1], ("a".to_string(), stat(5_000, 90_000, 1)));
+        let table = render_top_table(&entries, 10, 0);
         assert!(table.contains("self time"), "{table}");
+        assert!(table.contains("blocked"), "{table}");
         assert!(table.contains('b'), "{table}");
+        assert!(!table.contains("missing"), "{table}");
+        let capped = render_top_table(&entries, 10, 42);
+        assert!(capped.contains("42 spans closed after"), "{capped}");
     }
 
     #[test]
@@ -326,6 +257,7 @@ mod tests {
                 "root".to_string(),
                 StackStat {
                     self_ns: 1_500,
+                    blocked_ns: 0,
                     calls: 1,
                 },
             ),
@@ -333,6 +265,7 @@ mod tests {
                 "root;leaf".to_string(),
                 StackStat {
                     self_ns: 2_000_000,
+                    blocked_ns: 0,
                     calls: 4,
                 },
             ),

@@ -25,11 +25,9 @@ struct SpanInner {
     name: String,
     /// `alloc.bytes` at open, for the per-span allocation delta.
     alloc_open: u64,
-    /// Whether this span pushed a frame on the profiler stack (the
-    /// profiler was active at open); guards the matching pop so toggling
+    /// Whether this span pushed a frame on the trace-tree collector's
+    /// stack (it was active at open); guards the matching pop so toggling
     /// mid-span can never unbalance the stack.
-    profiled: bool,
-    /// Same guard for the trace-tree collector's frame stack.
     traced: bool,
 }
 
@@ -57,9 +55,6 @@ impl Drop for Span {
         let ns = inner.start.elapsed().as_nanos() as u64;
         inner.stat.record(ns);
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        if inner.profiled {
-            crate::profile::on_span_close(ns);
-        }
         if inner.traced {
             crate::tracetree::on_span_close();
         }
@@ -86,25 +81,7 @@ pub fn span(name: &str) -> Span {
     if !crate::enabled() {
         return Span { inner: None };
     }
-    DEPTH.with(|d| d.set(d.get() + 1));
-    let profiled = crate::profile::active();
-    if profiled {
-        crate::profile::on_span_open(name);
-    }
-    let traced = crate::tracetree::active();
-    if traced {
-        crate::tracetree::on_span_open(name);
-    }
-    Span {
-        inner: Some(SpanInner {
-            stat: global().span_stat(name),
-            start: Instant::now(),
-            name: name.to_string(),
-            alloc_open: crate::alloc::bytes_now(),
-            profiled,
-            traced,
-        }),
-    }
+    open(name.to_string())
 }
 
 /// Open a span keyed `base[label]` — e.g.
@@ -114,12 +91,11 @@ pub fn span_labeled(base: &str, label: &str) -> Span {
     if !crate::enabled() {
         return Span { inner: None };
     }
-    let name = format!("{base}[{label}]");
+    open(format!("{base}[{label}]"))
+}
+
+fn open(name: String) -> Span {
     DEPTH.with(|d| d.set(d.get() + 1));
-    let profiled = crate::profile::active();
-    if profiled {
-        crate::profile::on_span_open(&name);
-    }
     let traced = crate::tracetree::active();
     if traced {
         crate::tracetree::on_span_open(&name);
@@ -130,7 +106,6 @@ pub fn span_labeled(base: &str, label: &str) -> Span {
             start: Instant::now(),
             name,
             alloc_open: crate::alloc::bytes_now(),
-            profiled,
             traced,
         }),
     }

@@ -1,12 +1,13 @@
 //! Causal trace trees: parent-linked spans with **deterministic** ids.
 //!
-//! The registry answers "how long did `netsim.labeling` take in total?"
-//! and the profiler answers "where was the exclusive time?", but neither
-//! can say what the *critical path* of a run is — for that every span
-//! needs a stable identity and a causal parent, including spans opened
-//! inside `std::thread::scope` workers whose OS-thread ancestry says
-//! nothing about their logical parent. This module collects exactly that:
-//! one [`Node`] per span close, carrying
+//! The registry answers "how long did `netsim.labeling` take in total?",
+//! but it cannot say where the exclusive time went or what the
+//! *critical path* of a run is — for that every span needs a stable
+//! identity and a causal parent, including spans opened inside
+//! `std::thread::scope` workers whose OS-thread ancestry says nothing
+//! about their logical parent. This module collects exactly that — the
+//! crate's one span-tree collector — one [`Node`] per span close,
+//! carrying
 //!
 //! * a [`SpanId`] derived **structurally** (parent id × name hash ×
 //!   sibling ordinal — no timestamps, no thread ids, no global counters
@@ -23,10 +24,12 @@
 //!   what lets the critical-path analyzer ([`crate::crit`]) distinguish
 //!   "serial chain" from "parallelizable fan-out".
 //!
-//! Collection rides the existing span guards exactly like the profiler:
-//! with the collector inactive the span hot path pays one extra relaxed
-//! atomic load and nothing else (the crate's off-is-free rule). Enabled
-//! by `--crit-out` through `RunOpts::prepare`.
+//! Collection rides the span guards: with the collector inactive the
+//! span hot path pays one extra relaxed atomic load and nothing else
+//! (the crate's off-is-free rule). Enabled by `--crit-out` or
+//! `--profile-out` through `RunOpts::prepare`; the self-time profile
+//! ([`crate::profile`]) and the critical path ([`crate::crit`]) are
+//! both derived from these nodes.
 //!
 //! ```
 //! aml_telemetry::set_level(aml_telemetry::TelemetryLevel::Summary);
